@@ -12,20 +12,12 @@ import hashlib
 import json
 import math
 import os
-import sys
 from datetime import datetime, timezone
 
 import click
 
 from . import __version__
-from .bounds import (
-    asymptotic_probe,
-    bilotta_size,
-    bounds_report,
-    target_ratio,
-    upper_bound,
-    variance_formula,
-)
+from .bounds import asymptotic_probe, bounds_report, target_ratio, variance_formula
 from .clique import build_graph, max_clique
 from .construction import best_size, generate_direct
 from .fibonacci import DEFAULT_PRECISION_BITS, fib, find_alpha
@@ -38,16 +30,21 @@ from .words import (
     format_code,
     is_nonexpandable,
     read_code,
-    verify_code,
     write_code,
 )
 
 EXIT_VIOLATION = 1
+EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
 
 def _default_bits() -> int:
-    return int(os.environ.get("XBIFIX_PRECISION_BITS", DEFAULT_PRECISION_BITS))
+    raw = os.environ.get("XBIFIX_PRECISION_BITS", str(DEFAULT_PRECISION_BITS))
+    try:
+        return int(raw)
+    except ValueError:
+        click.echo(f"usage: XBIFIX_PRECISION_BITS must be an integer, got {raw!r}", err=True)
+        raise SystemExit(EXIT_USAGE)
 
 
 def _write_manifest(out_path: str, command: str, parameters: dict, seeds=None) -> None:
@@ -299,11 +296,13 @@ def sim(code_file, trials, seed, max_stream, as_json):
     except CodeFormatError as exc:
         raise click.UsageError(str(exc))
     try:
-        cfg = SimConfig(code=code, trials=trials, seed=seed, max_stream=max_stream)
+        stats = run_sim(SimConfig(code=code, trials=trials, seed=seed, max_stream=max_stream))
+    except CapacityError as exc:
+        click.echo(f"capacity: {exc}", err=True)
+        raise SystemExit(EXIT_CAPACITY)
     except ValueError as exc:
         click.echo(f"invalid code: {exc}", err=True)
         raise SystemExit(EXIT_VIOLATION)
-    stats = run_sim(cfg)
     predicted = variance_formula(code.n, code.q, len(code))
     if as_json:
         click.echo(
@@ -340,11 +339,12 @@ def verify(code_file):
         code = read_code(code_file)
     except CodeFormatError as exc:
         raise click.UsageError(str(exc))
-    if not verify_code(code):
-        w1, w2, seg = find_violation(code)
-        seg_str = "".join(str(s) for s in seg)
+    violation = find_violation(code)
+    if violation is not None:
+        w1, w2, seg = violation
+        digits = w1.to_digits()
         click.echo(
-            f"cross-bifix-free: no (prefix {seg_str!r} of {w1.to_digits()} "
+            f"cross-bifix-free: no (prefix {digits[:len(seg)]!r} of {digits} "
             f"is a suffix of {w2.to_digits()})"
         )
         raise SystemExit(EXIT_VIOLATION)

@@ -9,14 +9,16 @@ with the constructed code as the initial incumbent.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .construction import best_size, generate_direct
-from .words import CapacityError, Code, Word, cross_pair_ok, is_bifix_free, verify_code
+from .words import CapacityError, Code, Word, verify_code
 
 DEFAULT_VERTEX_CAP = 2**16
+_ROW_BLOCK = 256  # graph-build rows per step; bounds memory to 256 x V booleans
 
 
 @dataclass(frozen=True)
@@ -45,25 +47,29 @@ class CliqueResult:
 
 
 def build_graph(n: int, q: int, cap: int = DEFAULT_VERTEX_CAP) -> CompatGraph:
-    """All bifix-free words of length n over Z_q, joined when mutually
-    cross-bifix-free.  The edge predicate is delegated to the word
-    module; no self-loops are stored."""
+    """All bifix-free words of length n over Z_q, in lexicographic order,
+    joined when mutually cross-bifix-free; no self-loops are stored.  The
+    words are base-q int64 values (see xbifix.words), exact under the cap."""
     if q**n > cap * 8:
         raise CapacityError(f"q**n = {q**n} too large to enumerate")
-    vertices = [
-        w
-        for t in itertools.product(range(q), repeat=n)
-        if is_bifix_free(w := Word(t, q))
-    ]
-    if len(vertices) > cap:
-        raise CapacityError(f"{len(vertices)} vertices exceed cap {cap}")
-    adjacency = [0] * len(vertices)
-    for i, u in enumerate(vertices):
-        for j in range(i + 1, len(vertices)):
-            if cross_pair_ok(u, vertices[j]):
-                adjacency[i] |= 1 << j
-                adjacency[j] |= 1 << i
-    return CompatGraph(n=n, q=q, vertices=tuple(vertices), adjacency=tuple(adjacency))
+    words = np.arange(q**n, dtype=np.int64)
+    for length in range(1, n):
+        words = words[words // q ** (n - length) != words % q**length]
+    if len(words) > cap:
+        raise CapacityError(f"{len(words)} vertices exceed cap {cap}")
+    affixes = [(words // q ** (n - length), words % q**length) for length in range(1, n)]
+    adjacency: list[int] = []
+    for start in range(0, len(words), _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        ok = np.ones((len(words[rows]), len(words)), dtype=bool)
+        for head, tail in affixes:
+            ok &= (head[rows, None] != tail) & (tail[rows, None] != head)
+        np.fill_diagonal(ok[:, start:], False)
+        # row i as an int whose bit j is the edge to vertex j
+        packed = np.packbits(ok, axis=1, bitorder="little")
+        adjacency.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    vertices = tuple(Word.from_value(int(v), n, q) for v in words)
+    return CompatGraph(n=n, q=q, vertices=vertices, adjacency=tuple(adjacency))
 
 
 def _greedy_clique(adj: list[int], order: list[int]) -> list[int]:
@@ -169,7 +175,8 @@ def max_clique(
     expand([], (1 << nv) - 1)
 
     witness = Code.from_words(graph.vertices[order[v]] for v in best)
-    assert verify_code(witness)
+    if not verify_code(witness):
+        raise RuntimeError("clique witness is not cross-bifix-free")
     return CliqueResult(
         size=len(best),
         witness=witness,

@@ -91,8 +91,8 @@ def generate_recursive(n: int, k: int, q: int, cap: int = DEFAULT_ENUM_CAP) -> C
                     for s in build(m - l)
                     for a in nonzero
                 ]
-                # the T_l parts must be pairwise disjoint
-                assert seen.isdisjoint(part)
+                if not seen.isdisjoint(part):
+                    raise RuntimeError(f"T_l parts overlap at m={m}, l={l}")
                 seen.update(part)
                 out.extend(part)
         memo[m] = out

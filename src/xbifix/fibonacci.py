@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 from mpmath import mp
@@ -70,9 +71,6 @@ class RootEstimate:
     precision_bits: int
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=4096)
 def find_alpha(k: int, q: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootEstimate:
     """Bisection for the unique root of g in (1, q).
@@ -87,7 +85,8 @@ def find_alpha(k: int, q: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> 
     with mp.workprec(precision_bits + 16):
         lo = mp.mpf(1) + mp.mpf(2) ** (-precision_bits)
         hi = mp.mpf(q)
-        assert g_poly(k, q, lo) < 0 and g_poly(k, q, hi) > 0
+        if not (g_poly(k, q, lo) < 0 < g_poly(k, q, hi)):
+            raise PrecisionError(f"g has no sign change on [lo, q] for k={k}, q={q}")
         target = mp.mpf(2) ** (-precision_bits) * q
         while hi - lo > target:
             mid = (lo + hi) / 2
@@ -132,7 +131,8 @@ def beta_bracket(k: int, q: int, precision_bits: int = DEFAULT_PRECISION_BITS):
     while bits <= 1 << 20:
         with mp.workprec(bits + 16):
             low = mp.mpf(q) - mp.mpf(q) ** (-(k - 1))
-            assert g_poly(k, q, low) < 0
+            if not g_poly(k, q, low) < 0:
+                raise PrecisionError(f"g is not negative at q - q**(1-k) for k={k}, q={q}")
             beta = (low + mp.mpf(q)) / 2
             while g_poly(k, q, beta) >= 0:
                 beta = (low + beta) / 2

@@ -6,8 +6,8 @@ occurrence of any codeword as a contiguous window; the match time is the
 this time validates the variance expression behind the code-size upper
 bound.
 
-Per-trial generators are seeded from (seed, trial index), so serial and
-parallel execution produce identical statistics.
+Per-trial generators are seeded from (seed, trial index).  Windows are
+base-q int64 values, so codes with q**n above 2**63 are refused.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .words import Code, verify_code
+from .words import CapacityError, Code, code_values, verify_code
 
 DEFAULT_MAX_STREAM = 1_000_000
 _CHUNK = 256
@@ -34,6 +34,8 @@ class SimConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.code.q**self.code.n > 2**63:
+            raise CapacityError(f"q**n = {self.code.q}**{self.code.n} exceeds 2**63")
         if not verify_code(self.code):
             raise ValueError("code is not cross-bifix-free")
 
@@ -48,19 +50,6 @@ class SyncStats:
     truncated: int = 0
 
 
-def _window_values(code: Code) -> frozenset[int]:
-    """Each codeword as an integer in base q (leftmost symbol most
-    significant); a length-n window matches iff its value is in here."""
-    q = code.q
-    values = set()
-    for w in code.sorted_words():
-        v = 0
-        for s in w:
-            v = v * q + s
-        values.add(v)
-    return frozenset(values)
-
-
 def first_match_time(code: Code, stream: Iterable[int], cap: Optional[int] = None) -> Optional[int]:
     """Index (1-based, last symbol of the window) of the first codeword
     occurrence in the stream; None if the cap is reached first.
@@ -69,7 +58,7 @@ def first_match_time(code: Code, stream: Iterable[int], cap: Optional[int] = Non
     window exactly, so this equals a naive sliding-window comparison.
     """
     n, q = code.n, code.q
-    targets = _window_values(code)
+    targets = set(code_values(code))
     modulus = q ** (n - 1)
     window = 0
     for t, s in enumerate(stream, start=1):
@@ -103,7 +92,7 @@ def _one_trial(targets: np.ndarray, n: int, q: int, rng: np.random.Generator, ca
                 offset = int(np.argmax(hits))
                 # window i ends at stream position produced - len(carry) + i + n
                 return produced - len(carry) + offset + n
-            carry = buf[-(n - 1):]
+            carry = buf[len(buf) - (n - 1):]
         else:
             carry = buf
         produced += take
@@ -115,7 +104,7 @@ def run_sim(cfg: SimConfig) -> SyncStats:
     """Aggregate first-match times over seeded trials; deterministic for
     a fixed (seed, trials, code)."""
     n, q = cfg.code.n, cfg.code.q
-    targets = np.asarray(sorted(_window_values(cfg.code)), dtype=np.int64)
+    targets = np.asarray(code_values(cfg.code), dtype=np.int64)
     times = []
     truncated = 0
     for trial in range(cfg.trials):
@@ -125,7 +114,7 @@ def run_sim(cfg: SimConfig) -> SyncStats:
         else:
             times.append(t)
     if not times:
-        raise RuntimeError("all trials truncated; raise max_stream")
+        raise CapacityError("all trials truncated; raise max_stream")
     return SyncStats(
         samples=len(times),
         mean=statistics.fmean(times),

@@ -6,22 +6,30 @@ A word is a fixed-length sequence of symbols from {0, ..., q-1}.  Only
 A code is cross-bifix-free when no proper prefix of any member equals a
 proper suffix of any member, the member itself included.
 
+Internally a word of length n is its base-q value v, leftmost symbol most
+significant.  Its proper prefix of length L is v // q**(n-L) and its
+proper suffix of length L is v % q**L, so every affix test is one integer
+comparison.  The predicates compute with Python ints, which are
+unbounded, so they accept any (n, q) a code file can hold; numpy's int64
+is used only where a capacity cap already keeps q**n below 2**63.
+
 All types are immutable after construction; every operation here is a pure
 function.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 MAX_Q = len(DIGITS)  # words serialize as single base-36 digits
 
 # brute-force ceiling for nonexpandability scans (q**n candidates)
 NONEXPANDABLE_CAP = 2**24
+_SCAN_CHUNK = 1 << 16  # candidates per step of the nonexpandability scan
 
 
 class CapacityError(Exception):
@@ -78,6 +86,23 @@ class Word:
     def to_digits(self) -> str:
         return "".join(DIGITS[s] for s in self.symbols)
 
+    @classmethod
+    def from_value(cls, value: int, n: int, q: int) -> "Word":
+        """The length-n word whose base-q value is `value`."""
+        if not 0 <= value < q**n:
+            raise ValueError(f"value {value} outside [0, {q}**{n})")
+        symbols = [0] * n
+        for i in range(n - 1, -1, -1):
+            value, symbols[i] = divmod(value, q)
+        return cls(tuple(symbols), q)
+
+    def to_value(self) -> int:
+        """The word as a base-q integer, leftmost symbol most significant."""
+        value = 0
+        for s in self.symbols:
+            value = value * self.q + s
+        return value
+
     def __repr__(self) -> str:
         return f"Word({self.to_digits()!r}, q={self.q})"
 
@@ -96,41 +121,6 @@ def suffix(w: Word, length: int) -> Word:
     return Word(w.symbols[-length:], w.q)
 
 
-def _failure_function(symbols: tuple[int, ...]) -> list[int]:
-    """KMP failure function; fail[i] = length of the longest proper border
-    of symbols[:i+1]."""
-    fail = [0] * len(symbols)
-    length = 0
-    for i in range(1, len(symbols)):
-        while length > 0 and symbols[i] != symbols[length]:
-            length = fail[length - 1]
-        if symbols[i] == symbols[length]:
-            length += 1
-        fail[i] = length
-    return fail
-
-
-def is_bifix_free(w: Word) -> bool:
-    """True iff no proper prefix of w equals a suffix of w of the same
-    length.  Length-1 words are bifix-free vacuously (no proper affixes).
-
-    Any border implies a longest border, so it suffices that the failure
-    function ends at zero.
-    """
-    if len(w) == 1:
-        return True
-    return _failure_function(w.symbols)[-1] == 0
-
-
-@lru_cache(maxsize=1 << 18)
-def _affix_sets(symbols: tuple[int, ...]) -> tuple[frozenset, frozenset]:
-    """(proper prefixes, proper suffixes) of a symbol tuple, as tuples."""
-    n = len(symbols)
-    prefixes = frozenset(symbols[:i] for i in range(1, n))
-    suffixes = frozenset(symbols[n - i:] for i in range(1, n))
-    return prefixes, suffixes
-
-
 def cross_pair_ok(u: Word, v: Word) -> bool:
     """True iff no proper prefix of either word is a proper suffix of the
     other.  cross_pair_ok(w, w) coincides with is_bifix_free(w)."""
@@ -138,9 +128,14 @@ def cross_pair_ok(u: Word, v: Word) -> bool:
         raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
     if u.q != v.q:
         raise ValueError(f"alphabet mismatch: q={u.q} vs q={v.q}")
-    u_pre, u_suf = _affix_sets(u.symbols)
-    v_pre, v_suf = _affix_sets(v.symbols)
-    return u_pre.isdisjoint(v_suf) and v_pre.isdisjoint(u_suf)
+    n, q, a, b = len(u), u.q, u.to_value(), v.to_value()
+    return _shortest_shared([a], [b], n, q) is None and _shortest_shared([b], [a], n, q) is None
+
+
+def is_bifix_free(w: Word) -> bool:
+    """True iff no proper prefix of w equals a suffix of w of the same
+    length.  Length-1 words are bifix-free vacuously (no proper affixes)."""
+    return cross_pair_ok(w, w)
 
 
 @dataclass(frozen=True)
@@ -174,69 +169,76 @@ class Code:
         return sorted(self.words)
 
 
-def _affix_pools(code: Code) -> tuple[set, set]:
-    """All proper prefixes and all proper suffixes across the code, as
-    symbol tuples."""
-    prefixes: set = set()
-    suffixes: set = set()
-    for w in code.words:
-        pre, suf = _affix_sets(w.symbols)
-        prefixes |= pre
-        suffixes |= suf
-    return prefixes, suffixes
+def code_values(code: Code) -> list[int]:
+    """The code's words as base-q integers, ascending."""
+    return sorted(w.to_value() for w in code.words)
+
+
+def _shortest_shared(
+    heads: Iterable[int], tails: Iterable[int], n: int, q: int
+) -> Optional[tuple[int, int]]:
+    """(L, s) for the shortest L at which a proper prefix of a value in
+    `heads` equals a proper suffix of one in `tails`, s the least such
+    segment; None if there is none.  The length-L pools are the
+    length-(L+1) pools with one more symbol dropped, longest first."""
+    found = None
+    prefixes, suffixes = set(heads), set(tails)
+    for length in range(n - 1, 0, -1):
+        prefixes = {v // q for v in prefixes}
+        suffixes = {v % q**length for v in suffixes}
+        shared = prefixes & suffixes
+        if shared:
+            found = length, min(shared)
+    return found
 
 
 def verify_code(code: Code) -> bool:
     """True iff the code is cross-bifix-free: no proper prefix of any
-    member is a proper suffix of any member, itself included.
-
-    Pooling the affixes over the whole code is exactly the definitional
-    all-pairs check (each word is compared against the pool, which covers
-    the word itself).
-    """
-    if code.n == 1:
-        # no proper affixes exist; vacuously cross-bifix-free
-        return True
-    prefixes, suffixes = _affix_pools(code)
-    return prefixes.isdisjoint(suffixes)
+    member is a proper suffix of any member, itself included.  Pooling
+    the affixes over the whole code is exactly that all-pairs check."""
+    values = code_values(code)
+    return _shortest_shared(values, values, code.n, code.q) is None
 
 
 def find_violation(code: Code) -> Optional[tuple[Word, Word, tuple[int, ...]]]:
     """A witness (prefix owner, suffix owner, shared segment) that breaks
-    the cross-bifix-free property, or None when the code is valid."""
-    if code.n == 1:
+    the cross-bifix-free property, or None when the code is valid.  The
+    segment is the shortest and, among those, the least; its owners are
+    the least words that carry it."""
+    n, q = code.n, code.q
+    values = code_values(code)
+    found = _shortest_shared(values, values, n, q)
+    if found is None:
         return None
-    suffix_owner: dict[tuple, Word] = {}
-    for w in code.sorted_words():
-        _, suf = _affix_sets(w.symbols)
-        for s in suf:
-            suffix_owner.setdefault(s, w)
-    for w in code.sorted_words():
-        pre, _ = _affix_sets(w.symbols)
-        for p in sorted(pre, key=len):
-            if p in suffix_owner:
-                return w, suffix_owner[p], p
-    return None
+    length, segment = found
+    owner = Word.from_value(next(v for v in values if v // q ** (n - length) == segment), n, q)
+    other = Word.from_value(next(v for v in values if v % q**length == segment), n, q)
+    return owner, other, owner.symbols[:length]
 
 
 def find_expansion(code: Code, cap: int = NONEXPANDABLE_CAP) -> Optional[Word]:
     """Brute force over all q**n words: the first word (lexicographically)
-    whose addition keeps the code cross-bifix-free, or None."""
+    whose addition keeps the code cross-bifix-free, or None.  Candidates
+    are scanned in ascending chunks of int64 values, exact under the cap."""
     n, q = code.n, code.q
     if q**n > cap:
         raise CapacityError(f"q**n = {q**n} exceeds cap {cap}")
     if not verify_code(code):
         raise ValueError("code is not cross-bifix-free")
-    prefixes, suffixes = _affix_pools(code)
-    member_tuples = {w.symbols for w in code.words}
-    for cand in itertools.product(range(q), repeat=n):
-        if cand in member_tuples:
-            continue
-        cand_pre, cand_suf = _affix_sets(cand)
-        if not cand_pre.isdisjoint(cand_suf):
-            continue  # not bifix-free
-        if cand_pre.isdisjoint(suffixes) and cand_suf.isdisjoint(prefixes):
-            return Word(cand, q)
+    members = np.array(code_values(code), dtype=np.int64)
+    pools = [
+        (np.unique(members // q ** (n - length)), np.unique(members % q**length))
+        for length in range(1, n)
+    ]
+    for start in range(0, q**n, _SCAN_CHUNK):
+        cands = np.arange(start, min(start + _SCAN_CHUNK, q**n), dtype=np.int64)
+        cands = cands[~np.isin(cands, members)]
+        for length, (pre, suf) in enumerate(pools, start=1):
+            head, tail = cands // q ** (n - length), cands % q**length
+            # bifix-free, and no affix shared with the code either way
+            cands = cands[(head != tail) & ~np.isin(head, suf) & ~np.isin(tail, pre)]
+        if cands.size:
+            return Word.from_value(int(cands[0]), n, q)
     return None
 
 

@@ -64,6 +64,15 @@ class TestFibAlpha:
         result = runner.invoke(main, ["alpha", "--k", "2", "--q", "2", "--bits", "64"])
         assert result.output.strip().startswith("1.6180339887")
 
+    def test_bad_precision_env_usage_error(self, runner):
+        result = runner.invoke(
+            main, ["alpha", "--k", "3", "--q", "2"], env={"XBIFIX_PRECISION_BITS": "abc"}
+        )
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert "XBIFIX_PRECISION_BITS" in result.stderr
+
     def test_alpha_json_bracket(self, runner):
         result = runner.invoke(
             main, ["alpha", "--k", "5", "--q", "2", "--json", "--bits", "64"]
@@ -133,6 +142,17 @@ class TestSimVerify:
         assert data["predicted_variance"] == pytest.approx(322.56)
         assert data["samples"] == 2000
 
+    def test_sim_all_truncated_exit_3(self, runner, tmp_path):
+        path = tmp_path / "c4.txt"
+        path.write_text("# xbifix code n=4 q=2\n0011\n")
+        result = runner.invoke(
+            main, ["sim", "--code", str(path), "--trials", "5", "--max-stream", "3"]
+        )
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("capacity: ")
+        assert len(result.stderr.strip().splitlines()) == 1
+
     def test_verify_roundtrip(self, runner, tmp_path):
         path = tmp_path / "c10.txt"
         write_code(generate_direct(10, 3, 2), path)
@@ -147,6 +167,15 @@ class TestSimVerify:
         result = runner.invoke(main, ["verify", str(path)])
         assert result.exit_code == 1
         assert "cross-bifix-free: no" in result.output
+
+    def test_verify_segment_in_base36(self, runner, tmp_path):
+        path = tmp_path / "q12.txt"
+        path.write_text("# xbifix code n=3 q=12\na01\nb1a\n")
+        result = runner.invoke(main, ["verify", str(path)])
+        assert result.exit_code == 1
+        assert result.output == (
+            "cross-bifix-free: no (prefix 'a' of a01 is a suffix of b1a)\n"
+        )
 
     def test_verify_parse_error_exit_2(self, runner, tmp_path):
         path = tmp_path / "mangled.txt"

@@ -54,6 +54,12 @@ class TestBuildGraph:
 
 
 class TestMaxClique:
+    def test_witness_reverified(self, monkeypatch):
+        # the explicit check survives python -O, unlike an assert
+        monkeypatch.setattr("xbifix.clique.verify_code", lambda code: False)
+        with pytest.raises(RuntimeError):
+            max_clique(build_graph(6, 2))
+
     @pytest.mark.parametrize("n", range(3, 11))
     def test_known_optima(self, n):
         result = max_clique(build_graph(n, 2))

@@ -4,7 +4,7 @@ import pytest
 from xbifix.bounds import variance_formula
 from xbifix.construction import generate_direct
 from xbifix.sim import SimConfig, first_match_time, run_sim
-from xbifix.words import Code, Word
+from xbifix.words import CapacityError, Code, Word, code_values
 
 from oracles import naive_first_match_time
 
@@ -83,6 +83,12 @@ class TestRunSim:
         assert abs(stats.variance - predicted) / predicted < 0.10
         assert stats.min >= 3
 
+    def test_int64_window_range_guard(self):
+        # 3**40 > 2**63: int64 windows would wrap, so the config is refused
+        code = Code.from_words([W("2" * 39 + "0", q=3)])
+        with pytest.raises(CapacityError):
+            SimConfig(code=code, trials=1)
+
     def test_truncation_flagged(self):
         code = Code.from_words([W("0011")])
         stats = run_sim(SimConfig(code=code, trials=200, seed=4, max_stream=8))
@@ -92,18 +98,20 @@ class TestRunSim:
     def test_matches_streamed_scanner(self):
         # the vectorized trial must agree with the symbol-at-a-time
         # scanner on replayed streams
-        from xbifix.sim import _one_trial, _trial_rng, _window_values
+        from xbifix.sim import _one_trial, _trial_rng
 
-        code = generate_direct(7, 2, 2)
-        targets = np.asarray(sorted(_window_values(code)), dtype=np.int64)
-        for trial in range(300):
-            t_fast = _one_trial(targets, 7, 2, _trial_rng(21, trial), 10_000)
-            # consume symbols in the same chunked pattern the trial used
-            t_ref = first_match_time(code, _replay_chunks(21, trial, 10_000), cap=10_000)
-            assert t_fast == t_ref
+        # a length-1 code too: nothing carries over between its chunks
+        for code in (generate_direct(7, 2, 2), Code.from_words([W("z", q=36)])):
+            n, q = code.n, code.q
+            targets = np.asarray(code_values(code), dtype=np.int64)
+            for trial in range(300):
+                t_fast = _one_trial(targets, n, q, _trial_rng(21, trial), 10_000)
+                # consume symbols in the same chunked pattern the trial used
+                t_ref = first_match_time(code, _replay_chunks(21, trial, 10_000, q), cap=10_000)
+                assert t_fast == t_ref
 
 
-def _replay_chunks(seed, trial, cap):
+def _replay_chunks(seed, trial, cap, q=2):
     """Symbols exactly as _one_trial draws them (chunked, doubling)."""
     from xbifix.sim import _CHUNK, _trial_rng
 
@@ -112,6 +120,6 @@ def _replay_chunks(seed, trial, cap):
     chunk = _CHUNK
     while produced < cap:
         take = min(chunk, cap - produced)
-        yield from rng.integers(0, 2, size=take, dtype=np.int64).tolist()
+        yield from rng.integers(0, q, size=take, dtype=np.int64).tolist()
         produced += take
         chunk = min(chunk * 2, 1 << 16)

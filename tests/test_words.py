@@ -175,6 +175,23 @@ class TestVerifyCode:
             code = Code.from_words(rng.sample(pool, rng.randint(1, min(6, len(pool)))))
             assert verify_code(code) == naive_verify(code)
 
+    def test_words_beyond_int64(self):
+        # 3**60 > 2**63: the integer view must stay exact
+        import random
+
+        rng = random.Random(11)
+        for _ in range(40):
+            code = Code.from_words(
+                Word(tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(60)), 3)
+                for _ in range(rng.randint(1, 4))
+            )
+            assert verify_code(code) == naive_verify(code)
+            witness = find_violation(code)
+            assert (witness is None) == verify_code(code)
+            if witness is not None:
+                owner, other, seg = witness
+                assert owner.symbols[: len(seg)] == seg == other.symbols[-len(seg):]
+
     def test_permutation_invariant(self):
         words = [W("1100000"), W("1101010"), W("1100010")]
         assert verify_code(Code.from_words(words)) == verify_code(
