@@ -21,7 +21,6 @@ from .construction import (  # noqa: F401
     SizeRecord,
     best_size,
     generate_direct,
-    generate_recursive,
     size_formula,
 )
 from .fibonacci import fib, fib_closed_form, find_alpha, kq_threshold  # noqa: F401

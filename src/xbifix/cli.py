@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 property violated, 2 usage or parse error,
-3 capacity or budget exhausted.  Big integers are serialized as decimal
-strings in JSON output.  XBIFIX_PRECISION_BITS sets the default working
-precision for root finding.
+3 capacity or budget exhausted; each error is one line on stderr.  Big
+integers are printed in full, as decimal strings in JSON output.
+XBIFIX_PRECISION_BITS sets the default working precision for root finding.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ import hashlib
 import json
 import math
 import os
+import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 
 import click
@@ -43,8 +45,46 @@ def _default_bits() -> int:
     try:
         return int(raw)
     except ValueError:
-        click.echo(f"usage: XBIFIX_PRECISION_BITS must be an integer, got {raw!r}", err=True)
+        raise click.UsageError(f"XBIFIX_PRECISION_BITS must be an integer, got {raw!r}")
+
+
+@contextmanager
+def _all_digits():
+    """Lift the int-to-str digit limit while exact integers are formatted,
+    then restore it; Python builds without the limit are left alone."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@contextmanager
+def _usage_line():
+    """Report a usage error as one stderr line and exit 2."""
+    try:
+        yield
+    except getattr(click.exceptions, "NoArgsIsHelpError", ()):
+        raise  # the bare command prints its help (click >= 8.2)
+    except click.UsageError as exc:
+        click.echo(f"usage: {exc.format_message()}", err=True)
         raise SystemExit(EXIT_USAGE)
+
+
+class _Group(click.Group):
+    """Runs its parsing and every subcommand, click's too, under _usage_line."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_line():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_line():
+            return super().invoke(ctx)
 
 
 def _write_manifest(out_path: str, command: str, parameters: dict, seeds=None) -> None:
@@ -63,7 +103,7 @@ def _write_manifest(out_path: str, command: str, parameters: dict, seeds=None) -
         fh.write("\n")
 
 
-@click.group()
+@click.group(cls=_Group)
 @click.version_option(__version__)
 def main():
     """Construct, verify, count and bound cross-bifix-free codes."""
@@ -101,11 +141,12 @@ def best(n, q, as_json):
         record = best_size(n, q)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    if as_json:
-        click.echo(json.dumps(record.to_json_dict()))
-    else:
-        k = "-" if record.best_k is None else record.best_k
-        click.echo(f"S({n},{q}) = {record.size}  (k = {k})")
+    k = "-" if record.best_k is None else record.best_k
+    with _all_digits():
+        if as_json:
+            click.echo(json.dumps(record.to_json_dict()))
+        else:
+            click.echo(f"S({n},{q}) = {record.size}  (k = {k})")
 
 
 @main.command("fib")
@@ -115,9 +156,11 @@ def best(n, q, as_json):
 def fib_cmd(k, q, n):
     """Weighted k-step Fibonacci value F_{k,q}(n)."""
     try:
-        click.echo(fib(k, q, n))
+        value = fib(k, q, n)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    with _all_digits():
+        click.echo(value)
 
 
 @main.command()
@@ -178,16 +221,17 @@ def table(q, n_max, as_json, markdown, clique_upto):
         optimal = None
         if clique_upto and n <= clique_upto:
             optimal = max_clique(build_graph(n, q)).size
-        rows.append(
-            {
-                "n": n,
-                "bilotta": str(rep.bilotta) if rep.bilotta is not None else None,
-                "size": str(rep.construction_size),
-                "best_k": rep.best_k,
-                "upper_bound_floor": str(rep.upper_bound.numerator // rep.upper_bound.denominator),
-                "optimal": str(optimal) if optimal is not None else None,
-            }
-        )
+        with _all_digits():
+            rows.append(
+                {
+                    "n": n,
+                    "bilotta": str(rep.bilotta) if rep.bilotta is not None else None,
+                    "size": str(rep.construction_size),
+                    "best_k": rep.best_k,
+                    "upper_bound_floor": str(math.floor(rep.upper_bound)),
+                    "optimal": str(optimal) if optimal is not None else None,
+                }
+            )
     if as_json:
         click.echo(json.dumps({"q": q, "rows": rows}))
         return
@@ -230,18 +274,19 @@ def probe(q, k_min, k_max, c, as_json):
         raise SystemExit(EXIT_CAPACITY)
     target = target_ratio(q)
     if as_json:
-        click.echo(
-            json.dumps(
-                {
-                    "q": q,
-                    "target": target,
-                    "rows": [
-                        {"k": r.k, "n": r.n, "size": str(r.size), "ratio": r.ratio}
-                        for r in rows
-                    ],
-                }
+        with _all_digits():
+            click.echo(
+                json.dumps(
+                    {
+                        "q": q,
+                        "target": target,
+                        "rows": [
+                            {"k": r.k, "n": r.n, "size": str(r.size), "ratio": r.ratio}
+                            for r in rows
+                        ],
+                    }
+                )
             )
-        )
         return
     click.echo(f"target (q-1)/(q e) = {target:.6f}")
     for r in rows:

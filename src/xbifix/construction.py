@@ -57,50 +57,6 @@ def generate_direct(n: int, k: int, q: int, cap: int = DEFAULT_ENUM_CAP) -> Code
     return Code.from_words(words)
 
 
-def generate_recursive(n: int, k: int, q: int, cap: int = DEFAULT_ENUM_CAP) -> Code:
-    """The same code via its recursive decomposition.
-
-    Base case (k+2 <= n <= 2k+1): the interior window is shorter than k,
-    so every window is admissible.  For n >= 2k+2 the code is the disjoint
-    union over l = 1..k of {(s, 0^(l-1), alpha)} with s drawn from the
-    length n-l code.
-    """
-    validate_params(n, k, q)
-    if q ** (n - k - 2) > cap:
-        raise CapacityError(f"q**(n-k-2) = {q ** (n - k - 2)} exceeds cap {cap}")
-    memo: dict[int, list[tuple[int, ...]]] = {}
-
-    def build(m: int) -> list[tuple[int, ...]]:
-        if m in memo:
-            return memo[m]
-        zeros = (0,) * k
-        nonzero = range(1, q)
-        if m <= 2 * k + 1:
-            out = [
-                zeros + (a,) + mid + (b,)
-                for a in nonzero
-                for mid in itertools.product(range(q), repeat=m - k - 2)
-                for b in nonzero
-            ]
-        else:
-            out = []
-            seen: set[tuple[int, ...]] = set()
-            for l in range(1, k + 1):
-                part = [
-                    s + (0,) * (l - 1) + (a,)
-                    for s in build(m - l)
-                    for a in nonzero
-                ]
-                if not seen.isdisjoint(part):
-                    raise RuntimeError(f"T_l parts overlap at m={m}, l={l}")
-                seen.update(part)
-                out.extend(part)
-        memo[m] = out
-        return out
-
-    return Code.from_words(Word(t, q) for t in build(n))
-
-
 def size_formula(n: int, k: int, q: int) -> int:
     """Exact |S_{k,q}(n)| = (q-1)**2 * F_{k,q}(n-k-2)."""
     validate_params(n, k, q)

@@ -1,5 +1,5 @@
-"""The (q-1)-weighted k-step Fibonacci sequence and its characteristic
-polynomial machinery.
+"""The (q-1)-weighted k-step Fibonacci sequence, exact in O(k) memory,
+and its characteristic polynomial machinery.
 
 F(n) = (q-1) * (F(n-1) + ... + F(n-k)), initialized F(i) = q**i for
 0 <= i <= k-1.  The growth rate is the unique real root alpha of
@@ -14,6 +14,7 @@ the bisection target of choice.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,8 +23,6 @@ import mpmath
 from mpmath import mp
 
 DEFAULT_PRECISION_BITS = 128
-
-_fib_cache: dict[tuple[int, int], list[int]] = {}
 
 
 class PrecisionError(Exception):
@@ -38,14 +37,14 @@ def _check_kq(k: int, q: int) -> None:
 
 
 def fib(k: int, q: int, n: int) -> int:
-    """Exact F_{k,q}(n) by the memoized recurrence."""
+    """Exact F_{k,q}(n) by F(m+1) = q*F(m) - (q-1)*F(m-k), in a window of k+1 values."""
     _check_kq(k, q)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    values = _fib_cache.setdefault((k, q), [q**i for i in range(k)])
-    while len(values) <= n:
-        values.append((q - 1) * sum(values[-k:]))
-    return values[n]
+    window = deque([q**i for i in range(k)] + [q**k - 1], maxlen=k + 1)
+    for _ in range(n - k):
+        window.append(q * window[-1] - (q - 1) * window[0])
+    return window[min(n, k)]
 
 
 def f_poly(k: int, q: int, x):

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import itertools
 
-from xbifix.words import Code, Word
+from xbifix.construction import DEFAULT_ENUM_CAP, validate_params
+from xbifix.words import CapacityError, Code, Word
 
 
 def naive_is_bifix_free(symbols: tuple[int, ...]) -> bool:
@@ -57,6 +58,60 @@ def naive_first_match_time(code: Code, stream: list[int]) -> int | None:
     return None
 
 
+def naive_fib(k: int, q: int, n: int) -> int:
+    """F_{k,q}(n) from the definition: the full list of values, each the
+    (q-1)-weighted sum of the k values before it."""
+    values = [q**i for i in range(k)]
+    while len(values) <= n:
+        values.append((q - 1) * sum(values[-k:]))
+    return values[n]
+
+
 def all_words(n: int, q: int):
     for t in itertools.product(range(q), repeat=n):
         yield Word(t, q)
+
+
+def generate_recursive(n: int, k: int, q: int, cap: int = DEFAULT_ENUM_CAP) -> Code:
+    """The zero-run code S_{k,q}(n) via its recursive decomposition, an
+    oracle for construction.generate_direct.
+
+    Base case (k+2 <= n <= 2k+1): the interior window is shorter than k,
+    so every window is admissible.  For n >= 2k+2 the code is the disjoint
+    union over l = 1..k of {(s, 0^(l-1), alpha)} with s drawn from the
+    length n-l code.
+    """
+    validate_params(n, k, q)
+    if q ** (n - k - 2) > cap:
+        raise CapacityError(f"q**(n-k-2) = {q ** (n - k - 2)} exceeds cap {cap}")
+    memo: dict[int, list[tuple[int, ...]]] = {}
+
+    def build(m: int) -> list[tuple[int, ...]]:
+        if m in memo:
+            return memo[m]
+        zeros = (0,) * k
+        nonzero = range(1, q)
+        if m <= 2 * k + 1:
+            out = [
+                zeros + (a,) + mid + (b,)
+                for a in nonzero
+                for mid in itertools.product(range(q), repeat=m - k - 2)
+                for b in nonzero
+            ]
+        else:
+            out = []
+            seen: set[tuple[int, ...]] = set()
+            for l in range(1, k + 1):
+                part = [
+                    s + (0,) * (l - 1) + (a,)
+                    for s in build(m - l)
+                    for a in nonzero
+                ]
+                if not seen.isdisjoint(part):
+                    raise RuntimeError(f"T_l parts overlap at m={m}, l={l}")
+                seen.update(part)
+                out.extend(part)
+        memo[m] = out
+        return out
+
+    return Code.from_words(Word(t, q) for t in build(n))

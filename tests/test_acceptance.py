@@ -12,7 +12,7 @@ import pytest
 
 from xbifix.bounds import asymptotic_probe, bilotta_size, target_ratio, upper_bound, variance_formula
 from xbifix.clique import build_graph, max_clique
-from xbifix.construction import best_size, generate_direct, generate_recursive, size_formula
+from xbifix.construction import best_size, generate_direct, size_formula
 from xbifix.fibonacci import (
     beta_bracket,
     f_poly,
@@ -26,7 +26,7 @@ from xbifix.fibonacci import (
 from xbifix.sim import SimConfig, first_match_time, run_sim
 from xbifix.words import is_bifix_free, is_nonexpandable, verify_code
 
-from oracles import all_words, naive_first_match_time, naive_is_bifix_free
+from oracles import all_words, generate_recursive, naive_first_match_time, naive_is_bifix_free
 from test_construction import TABLE as CONSTRUCTION_TABLE
 from test_bounds import BILOTTA as BILOTTA_TABLE
 from test_clique import OPTIMAL as OPTIMAL_TABLE

@@ -1,10 +1,12 @@
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
 
 from xbifix.cli import main
 from xbifix.construction import generate_direct
+from xbifix.fibonacci import fib
 from xbifix.words import format_code, parse_code, write_code
 
 
@@ -35,6 +37,16 @@ class TestGen:
         result = runner.invoke(main, ["gen", "--n", "4", "--k", "3"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "args", [["gen", "--n", "4", "--k", "3"], ["gen", "--k", "3"]], ids=["bad-k", "missing-n"]
+    )
+    def test_usage_error_is_one_line(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("usage: ")
+
 
 class TestBest:
     def test_text(self, runner):
@@ -59,6 +71,26 @@ class TestFibAlpha:
     def test_fib(self, runner):
         result = runner.invoke(main, ["fib", "--k", "3", "--q", "2", "--n", "5"])
         assert result.output.strip() == "24"
+
+    def test_fib_prints_past_the_digit_limit(self, runner):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        result = runner.invoke(main, ["fib", "--k", "2", "--q", "2", "--n", "30000"])
+        assert result.exit_code == 0
+        digits = result.stdout.strip()
+        assert len(digits) > 4300 and digits.isdigit()
+        # decimal to int in chunks, which no digit limit applies to
+        value = 0
+        for i in range(0, len(digits), 1000):
+            chunk = digits[i:i + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert value == fib(2, 2, 30000)
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    def test_fib_on_a_build_without_the_digit_limit(self, runner, monkeypatch):
+        monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+        result = runner.invoke(main, ["fib", "--k", "3", "--q", "2", "--n", "5"])
+        assert result.exit_code == 0
+        assert result.stdout == "24\n"
 
     def test_alpha_decimal(self, runner):
         result = runner.invoke(main, ["alpha", "--k", "2", "--q", "2", "--bits", "64"])

@@ -1,12 +1,9 @@
 import pytest
 
-from xbifix.construction import (
-    best_size,
-    generate_direct,
-    generate_recursive,
-    size_formula,
-)
+from xbifix.construction import best_size, generate_direct, size_formula
 from xbifix.words import CapacityError, Word, is_nonexpandable, verify_code
+
+from oracles import generate_recursive
 
 # published size table for the binary alphabet: n -> (S(n,2), best k)
 TABLE = {

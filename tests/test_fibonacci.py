@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import tracemalloc
 
 import mpmath
 import pytest
@@ -15,6 +17,10 @@ from xbifix.fibonacci import (
     kq_threshold,
     other_roots_inside_unit_disk,
 )
+
+from oracles import naive_fib
+
+LARGE_N = [(3, 2, 3000), (10, 3, 2000), (3, 2, 40)]
 
 
 class TestRecurrence:
@@ -39,6 +45,23 @@ class TestRecurrence:
             fib(2, 1, 0)
         with pytest.raises(ValueError):
             fib(2, 2, -1)
+
+    @pytest.mark.parametrize("cases", [LARGE_N, LARGE_N[::-1]], ids=["forward", "reverse"])
+    def test_large_n_matches_definition(self, cases):
+        # both call orders, so no value can come from an earlier call
+        for k, q, n in cases:
+            assert fib(k, q, n) == naive_fib(k, q, n), (k, q, n)
+
+    def test_memory_is_a_window(self):
+        # the window holds k+1 = 11 values no larger than the result;
+        # keeping the whole sequence would take thousands of times its size
+        tracemalloc.start()
+        try:
+            value = fib(10, 3, 5000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * sys.getsizeof(value)
 
 
 class TestPolynomials:
