@@ -23,7 +23,7 @@ from .bounds import asymptotic_probe, bounds_report, target_ratio, variance_form
 from .clique import build_graph, max_clique
 from .construction import best_size, generate_direct
 from .fibonacci import DEFAULT_PRECISION_BITS, fib, find_alpha
-from .sim import SimConfig, run_sim
+from .sim import DEFAULT_MAX_STREAM, SimConfig, run_sim
 from .words import (
     CapacityError,
     CodeFormatError,
@@ -330,9 +330,9 @@ def clique(n, q, budget, long_run, witness_out):
 
 @main.command()
 @click.option("--code", "code_file", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--trials", type=int, default=100_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--max-stream", type=int, default=1_000_000, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=100_000, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option("--max-stream", type=click.IntRange(min=1), default=DEFAULT_MAX_STREAM, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 def sim(code_file, trials, seed, max_stream, as_json):
     """Simulate time-to-first-match of the code in a uniform stream."""

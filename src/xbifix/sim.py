@@ -6,12 +6,14 @@ occurrence of any codeword as a contiguous window; the match time is the
 this time validates the variance expression behind the code-size upper
 bound.
 
-Per-trial generators are seeded from (seed, trial index).  Windows are
-base-q int64 values, so codes with q**n above 2**63 are refused.
+Trials draw their symbols in blocks from one generator per run, so
+results are deterministic for a fixed (seed, trials, code, max_stream).
+Windows are base-q int64 values: codes with q**n above 2**63 are refused.
 """
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -21,7 +23,7 @@ import numpy as np
 from .words import CapacityError, Code, code_values, verify_code
 
 DEFAULT_MAX_STREAM = 1_000_000
-_CHUNK = 256
+_CELLS = 1 << 14  # symbols per block, carried ones included
 
 
 @dataclass(frozen=True)
@@ -32,8 +34,8 @@ class SimConfig:
     max_stream: int = DEFAULT_MAX_STREAM
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if self.trials < 1 or self.max_stream < 1:
+            raise ValueError("trials and max_stream must be >= 1")
         if self.code.q**self.code.n > 2**63:
             raise CapacityError(f"q**n = {self.code.q}**{self.code.n} exceeds 2**63")
         if not verify_code(self.code):
@@ -72,47 +74,54 @@ def first_match_time(code: Code, stream: Iterable[int], cap: Optional[int] = Non
     return None
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+def _windows(buf: np.ndarray, n: int, q: int) -> np.ndarray:
+    """Base-q values of each row's length-n windows: ~2*log2(n) multiply-adds."""
+    win, size = buf.astype(np.int64), 1
+    for bit in bin(n)[3:]:
+        win, size = win[:, :-size] * q**size + win[:, size:], 2 * size
+        if bit == "1":
+            win, size = win[:, :-1] * q + buf[:, size:], size + 1
+    return win
 
 
-def _one_trial(targets: np.ndarray, n: int, q: int, rng: np.random.Generator, cap: int) -> Optional[int]:
-    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    carry = np.empty(0, dtype=np.int64)
-    produced = 0
-    chunk = _CHUNK
-    while produced < cap:
-        take = min(chunk, cap - produced)
-        fresh = rng.integers(0, q, size=take, dtype=np.int64)
-        buf = np.concatenate([carry, fresh])
-        if len(buf) >= n:
-            windows = np.lib.stride_tricks.sliding_window_view(buf, n) @ powers
-            hits = np.isin(windows, targets)
-            if hits.any():
-                offset = int(np.argmax(hits))
-                # window i ends at stream position produced - len(carry) + i + n
-                return produced - len(carry) + offset + n
-            carry = buf[len(buf) - (n - 1):]
-        else:
-            carry = buf
+def match_times(cfg: SimConfig) -> np.ndarray:
+    """First-match time of each trial, in trial order; 0 where max_stream
+    came first.  Unfinished trials advance together, `take` symbols a
+    pass, in blocks of about _CELLS symbols that each draw one (rows, take)
+    array; a row with no match carries its last n-1 symbols on."""
+    n, q, cap = cfg.code.n, cfg.code.q, cfg.max_stream
+    targets = np.asarray(code_values(cfg.code), dtype=np.int64)
+    padded = np.append(targets, -1)  # no window is -1
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    times = np.zeros(cfg.trials, dtype=np.int64)
+    alive, carry = np.arange(cfg.trials), np.empty((cfg.trials, 0), dtype=np.uint8)
+    # take ~ sqrt(2 n w), for the mean wait w = q**n / M, balances symbols
+    # carried into a pass against those drawn past a match; M <= q**n/(2n-1)
+    # gives take >= n, so a row holds a window unless max_stream < n
+    produced, take = 0, min(math.isqrt(2 * n * q**n // len(targets)) + 1, _CELLS)
+    while len(alive) and n <= cap and produced < cap:
+        kept = carry.shape[1]
+        take = min(max(take, _CELLS // len(alive) - kept), cap - produced)
+        rows, carried = max(1, _CELLS // (take + kept)), []
+        for lo in range(0, len(alive), rows):
+            block = alive[lo:lo + rows]
+            fresh = rng.integers(0, q, size=(len(block), take), dtype=np.uint8)
+            buf = np.concatenate([carry[lo:lo + rows], fresh], axis=1)
+            win = _windows(buf, n, q)
+            hits = padded[np.searchsorted(targets, win)] == win
+            found = hits.any(axis=1)
+            # window s ends at stream position produced - kept + s + n
+            times[block[found]] = produced - kept + n + hits[found].argmax(axis=1)
+            carried.append(buf[~found, buf.shape[1] - n + 1:])
+        alive, carry = alive[times[alive] == 0], np.concatenate(carried)
         produced += take
-        chunk = min(chunk * 2, 1 << 16)
-    return None
+    return times
 
 
 def run_sim(cfg: SimConfig) -> SyncStats:
-    """Aggregate first-match times over seeded trials; deterministic for
-    a fixed (seed, trials, code)."""
-    n, q = cfg.code.n, cfg.code.q
-    targets = np.asarray(code_values(cfg.code), dtype=np.int64)
-    times = []
-    truncated = 0
-    for trial in range(cfg.trials):
-        t = _one_trial(targets, n, q, _trial_rng(cfg.seed, trial), cfg.max_stream)
-        if t is None:
-            truncated += 1
-        else:
-            times.append(t)
+    """Aggregate first-match times over the configured trials;
+    deterministic for a fixed (seed, trials, code, max_stream)."""
+    times = [t for t in match_times(cfg).tolist() if t]
     if not times:
         raise CapacityError("all trials truncated; raise max_stream")
     return SyncStats(
@@ -121,5 +130,5 @@ def run_sim(cfg: SimConfig) -> SyncStats:
         variance=statistics.variance(times) if len(times) > 1 else 0.0,
         min=min(times),
         max=max(times),
-        truncated=truncated,
+        truncated=cfg.trials - len(times),
     )

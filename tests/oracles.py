@@ -58,6 +58,25 @@ def naive_first_match_time(code: Code, stream: list[int]) -> int | None:
     return None
 
 
+def exact_pmf(n: int, q: int, M: int, t_max: int) -> list[float]:
+    """P(T = t) for t = 0..t_max, T the first-match time of an M-word
+    length-n cross-bifix-free code in a uniform q-ary stream.
+
+    Two matches cannot overlap, so T = t (t >= n) exactly when the window
+    ending at t is a codeword, probability p = M / q**n, and no match
+    ended by t - n, which depends on disjoint symbols: P(T = t) =
+    p * P(T > t - n) (Guibas & Odlyzko, JCTA 30, 1981).
+    """
+    p = M / q**n
+    pmf = [0.0] * (t_max + 1)
+    survival = [1.0] * (t_max + 1)  # P(T > t)
+    for t in range(1, t_max + 1):
+        if t >= n:
+            pmf[t] = p * survival[t - n]
+        survival[t] = survival[t - 1] - pmf[t]
+    return pmf
+
+
 def naive_fib(k: int, q: int, n: int) -> int:
     """F_{k,q}(n) from the definition: the full list of values, each the
     (q-1)-weighted sum of the k values before it."""

@@ -185,6 +185,30 @@ class TestSimVerify:
         assert result.stderr.startswith("capacity: ")
         assert len(result.stderr.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--trials", "0"],
+            ["--trials", "-1"],
+            ["--max-stream", "0"],
+            ["--max-stream", "-5"],
+            ["--seed", "-1"],
+        ],
+    )
+    def test_sim_out_of_range_exit_2(self, runner, tmp_path, option):
+        path = tmp_path / "c4.txt"
+        path.write_text("# xbifix code n=4 q=2\n0011\n")
+        result = runner.invoke(main, ["sim", "--code", str(path), *option])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"usage: Invalid value for '{option[0]}'")
+        assert len(result.stderr.splitlines()) == 1
+
+    def test_sim_max_stream_default(self):
+        from xbifix.sim import DEFAULT_MAX_STREAM
+
+        params = {p.name: p for p in main.commands["sim"].params}
+        assert params["max_stream"].default == DEFAULT_MAX_STREAM
+
     def test_verify_roundtrip(self, runner, tmp_path):
         path = tmp_path / "c10.txt"
         write_code(generate_direct(10, 3, 2), path)

@@ -1,12 +1,14 @@
+import mpmath
 import numpy as np
 import pytest
 
+from xbifix import sim
 from xbifix.bounds import variance_formula
 from xbifix.construction import generate_direct
-from xbifix.sim import SimConfig, first_match_time, run_sim
-from xbifix.words import CapacityError, Code, Word, code_values
+from xbifix.sim import SimConfig, first_match_time, match_times, run_sim
+from xbifix.words import CapacityError, Code, Word
 
-from oracles import naive_first_match_time
+from oracles import exact_pmf, naive_first_match_time
 
 
 def W(digits, q=2):
@@ -95,31 +97,126 @@ class TestRunSim:
         assert stats.truncated > 0
         assert stats.samples + stats.truncated == 200
 
-    def test_matches_streamed_scanner(self):
-        # the vectorized trial must agree with the symbol-at-a-time
-        # scanner on replayed streams
-        from xbifix.sim import _one_trial, _trial_rng
+    def test_windows_every_length(self):
+        # the doubling must give each window's base-q value at every
+        # length, up to the int64 limit q**n <= 2**63
+        rng = np.random.default_rng(8)
+        for q in (2, 3, 36):
+            for n in range(1, 64):
+                if q**n > 2**63:
+                    break
+                buf = rng.integers(0, q, size=(3, n + 4), dtype=np.uint8)
+                buf[0, :n] = q - 1  # the largest window, q**n - 1
+                expected = [
+                    [Word(tuple(row[s:s + n]), q).to_value() for s in range(5)] for row in buf.tolist()
+                ]
+                assert sim._windows(buf, n, q).tolist() == expected, (n, q)
 
-        # a length-1 code too: nothing carries over between its chunks
-        for code in (generate_direct(7, 2, 2), Code.from_words([W("z", q=36)])):
-            n, q = code.n, code.q
-            targets = np.asarray(code_values(code), dtype=np.int64)
-            for trial in range(300):
-                t_fast = _one_trial(targets, n, q, _trial_rng(21, trial), 10_000)
-                # consume symbols in the same chunked pattern the trial used
-                t_ref = first_match_time(code, _replay_chunks(21, trial, 10_000, q), cap=10_000)
-                assert t_fast == t_ref
+    def test_max_stream_positive(self):
+        for cap in (0, -3):
+            with pytest.raises(ValueError):
+                SimConfig(code=generate_direct(7, 2, 2), trials=1, max_stream=cap)
+
+    def test_matches_streamed_scanner(self, monkeypatch):
+        # every trial's time must equal the symbol-at-a-time scanner's on
+        # that trial's symbols, replayed from the draws the run made
+        draws = []
+        real_rng = np.random.default_rng
+
+        class Recorder:
+            def __init__(self, *args):
+                self.rng = real_rng(*args)
+
+            def integers(self, *args, **kwargs):
+                out = self.rng.integers(*args, **kwargs)
+                draws.append(out.copy())
+                return out
+
+        monkeypatch.setattr(np.random, "default_rng", Recorder)
+        cases = [
+            # enough trials for a pass to span several blocks
+            (SimConfig(code=generate_direct(7, 2, 2), trials=5000, seed=21), 2),
+            # a length-1 code: nothing carries over between passes
+            (SimConfig(code=Code.from_words([W("z", q=36)]), trials=300, seed=21), 1),
+            # max_stream cuts the second pass's take from 19 symbols to 11
+            (SimConfig(code=generate_direct(7, 2, 2), trials=5000, seed=21, max_stream=30), 2),
+        ]
+        for cfg, min_blocks in cases:
+            draws.clear()
+            times = match_times(cfg)
+            streams, blocks = _replay(cfg, draws, times)
+            assert max(blocks) >= min_blocks
+            for trial, stream in enumerate(streams):
+                t_ref = first_match_time(cfg.code, stream, cap=cfg.max_stream)
+                assert times[trial] == (t_ref or 0), trial
+                if t_ref is None:
+                    assert len(stream) == cfg.max_stream
+        # in the capped case, takes never shrink but for the cap
+        assert draws[-1].shape[1] < draws[0].shape[1]
+        assert (times == 0).any() and (times > 0).any()
 
 
-def _replay_chunks(seed, trial, cap, q=2):
-    """Symbols exactly as _one_trial draws them (chunked, doubling)."""
-    from xbifix.sim import _CHUNK, _trial_rng
+def _replay(cfg, draws, times):
+    """Each trial's symbols, from the run's draws in its layout: a pass
+    walks the unfinished trials in order, each draw giving the next rows
+    one row apiece; a trial is finished once its reported time, or else
+    max_stream, lies within its symbols.  A wrong time either ends a
+    trial too early or too late for the reference scanner to agree with
+    it.  Also returns the number of draws in each pass."""
+    streams = [[] for _ in range(cfg.trials)]
+    finished = [False] * cfg.trials
+    pending, blocks = [], []
+    for draw in draws:
+        if not pending:
+            pending = [t for t in range(cfg.trials) if not finished[t]]
+            blocks.append(0)
+        assert draw.dtype == np.uint8 and len(draw) <= len(pending)
+        blocks[-1] += 1
+        for trial, row in zip(pending, draw.tolist()):
+            streams[trial].extend(row)
+            finished[trial] = 0 < times[trial] <= len(streams[trial]) or len(streams[trial]) >= cfg.max_stream
+        pending = pending[len(draw):]
+    assert not pending and all(finished)
+    return streams, blocks
 
-    rng = _trial_rng(seed, trial)
-    produced = 0
-    chunk = _CHUNK
-    while produced < cap:
-        take = min(chunk, cap - produced)
-        yield from rng.integers(0, q, size=take, dtype=np.int64).tolist()
-        produced += take
-        chunk = min(chunk * 2, 1 << 16)
+
+class TestExactLaw:
+    @pytest.mark.parametrize("n,q,M", [(7, 2, 5), (10, 2, 24), (3, 2, 1), (7, 3, 88), (1, 36, 1)])
+    def test_pmf_moments(self, n, q, M):
+        wait = q**n / M
+        pmf = exact_pmf(n, q, M, n + int(80 * wait))
+        mean = sum(t * p for t, p in enumerate(pmf))
+        variance = sum(t * t * p for t, p in enumerate(pmf)) - mean**2
+        assert sum(pmf) == pytest.approx(1, abs=1e-12)
+        assert mean == pytest.approx(wait, rel=1e-9)
+        assert variance == pytest.approx(variance_formula(n, q, M), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "code",
+        [generate_direct(7, 2, 2), generate_direct(7, 2, 3), Code.from_words([W("001")])],
+        ids=["7-2-2", "7-2-3", "001"],
+    )
+    def test_histogram_fits_exact_law(self, code):
+        # chi-square goodness of fit, bins merged to >= 20 expected counts
+        # and a tail bin; p < 1e-3 fails a correct simulator once in a
+        # thousand seeds
+        trials = 20_000
+        times = match_times(SimConfig(code=code, trials=trials, seed=31))
+        assert (times > 0).all()
+        n, q, M = code.n, code.q, len(code)
+        t_max = int(times.max())
+        pmf = exact_pmf(n, q, M, t_max)
+        observed = np.bincount(times, minlength=t_max + 1)
+        bins, expected, count, mass = [], [], 0, 0.0
+        for t in range(t_max + 1):
+            count, mass = count + observed[t], mass + pmf[t]
+            if mass * trials >= 20:
+                bins.append(count)
+                expected.append(mass * trials)
+                count, mass = 0, 0.0
+        # the tail, T beyond the last closed bin
+        bins.append(trials - sum(bins))
+        expected.append(trials - sum(expected))
+        chi2 = sum((o - e) ** 2 / e for o, e in zip(bins, expected))
+        p_value = mpmath.gammainc((len(bins) - 1) / 2, chi2 / 2, mpmath.inf, regularized=True)
+        assert p_value > 1e-3, (chi2, len(bins))
