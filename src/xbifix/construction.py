@@ -9,11 +9,12 @@ and maximizing over k gives the best size S(n, q) for each length.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .fibonacci import fib
-from .words import CapacityError, Code, Word
+from .words import CapacityError, Code
 
 DEFAULT_ENUM_CAP = 2**20
 
@@ -25,36 +26,23 @@ def validate_params(n: int, k: int, q: int) -> None:
         raise ValueError(f"k={k} outside [2, n-2] = [2, {n - 2}] for n={n}")
 
 
-def _has_zero_run(symbols: tuple[int, ...], k: int) -> bool:
-    run = 0
-    for s in symbols:
-        run = run + 1 if s == 0 else 0
-        if run >= k:
-            return True
-    return False
-
-
 def generate_direct(n: int, k: int, q: int, cap: int = DEFAULT_ENUM_CAP) -> Code:
     """Enumerate the code by filtering all q**(n-k-2) interior windows.
 
-    Words come out as 0^k, alpha, middle, beta with alpha and beta nonzero
-    and no k-run of zeros in the middle; middles are generated in
-    lexicographic order so output is deterministic.
+    The word 0^k alpha middle beta has the value alpha*q**(m+1) +
+    middle*q + beta, m = n-k-2, so alpha, middle, beta order ascends.
     """
     validate_params(n, k, q)
-    middles = q ** (n - k - 2)
-    if middles > cap:
-        raise CapacityError(f"q**(n-k-2) = {middles} exceeds cap {cap}")
-    zeros = (0,) * k
-    nonzero = range(1, q)
-    words = []
-    for alpha in nonzero:
-        for middle in itertools.product(range(q), repeat=n - k - 2):
-            if _has_zero_run(middle, k):
-                continue
-            for beta in nonzero:
-                words.append(Word(zeros + (alpha,) + middle + (beta,), q))
-    return Code.from_words(words)
+    m = n - k - 2
+    if q**m > cap:
+        raise CapacityError(f"q**(n-k-2) = {q**m} exceeds cap {cap}")
+    middles = np.arange(q**m, dtype=np.int64)
+    for shift in range(m - k + 1):
+        # drop middles whose symbols q**shift .. q**(shift+k-1) are all zero
+        middles = middles[middles // q**shift % q**k != 0]
+    nonzero = np.arange(1, q, dtype=np.int64)
+    values = nonzero[:, None, None] * q ** (m + 1) + middles[None, :, None] * q + nonzero
+    return Code(tuple(values.ravel().tolist()), n, q)
 
 
 def size_formula(n: int, k: int, q: int) -> int:

@@ -14,13 +14,12 @@ Windows are base-q int64 values: codes with q**n above 2**63 are refused.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .words import CapacityError, Code, code_values, verify_code
+from .words import CapacityError, Code, verify_code
 
 DEFAULT_MAX_STREAM = 1_000_000
 _CELLS = 1 << 14  # symbols per block, carried ones included
@@ -60,7 +59,7 @@ def first_match_time(code: Code, stream: Iterable[int], cap: Optional[int] = Non
     window exactly, so this equals a naive sliding-window comparison.
     """
     n, q = code.n, code.q
-    targets = set(code_values(code))
+    targets = set(code.values)
     modulus = q ** (n - 1)
     window = 0
     for t, s in enumerate(stream, start=1):
@@ -90,7 +89,7 @@ def match_times(cfg: SimConfig) -> np.ndarray:
     pass, in blocks of about _CELLS symbols that each draw one (rows, take)
     array; a row with no match carries its last n-1 symbols on."""
     n, q, cap = cfg.code.n, cfg.code.q, cfg.max_stream
-    targets = np.asarray(code_values(cfg.code), dtype=np.int64)
+    targets = np.asarray(cfg.code.values, dtype=np.int64)
     padded = np.append(targets, -1)  # no window is -1
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     times = np.zeros(cfg.trials, dtype=np.int64)
@@ -121,14 +120,15 @@ def match_times(cfg: SimConfig) -> np.ndarray:
 def run_sim(cfg: SimConfig) -> SyncStats:
     """Aggregate first-match times over the configured trials;
     deterministic for a fixed (seed, trials, code, max_stream)."""
-    times = [t for t in match_times(cfg).tolist() if t]
-    if not times:
+    times = match_times(cfg)
+    times = times[times > 0]
+    if not times.size:
         raise CapacityError("all trials truncated; raise max_stream")
     return SyncStats(
-        samples=len(times),
-        mean=statistics.fmean(times),
-        variance=statistics.variance(times) if len(times) > 1 else 0.0,
-        min=min(times),
-        max=max(times),
-        truncated=cfg.trials - len(times),
+        samples=times.size,
+        mean=float(times.mean()),
+        variance=float(times.var(ddof=1)) if times.size > 1 else 0.0,
+        min=int(times.min()),
+        max=int(times.max()),
+        truncated=cfg.trials - times.size,
     )

@@ -6,12 +6,13 @@ A word is a fixed-length sequence of symbols from {0, ..., q-1}.  Only
 A code is cross-bifix-free when no proper prefix of any member equals a
 proper suffix of any member, the member itself included.
 
-Internally a word of length n is its base-q value v, leftmost symbol most
-significant.  Its proper prefix of length L is v // q**(n-L) and its
-proper suffix of length L is v % q**L, so every affix test is one integer
-comparison.  The predicates compute with Python ints, which are
-unbounded, so they accept any (n, q) a code file can hold; numpy's int64
-is used only where a capacity cap already keeps q**n below 2**63.
+A word of length n is its base-q value v, leftmost symbol most
+significant; a `Code` holds its members' values ascending (lexicographic
+order), and `Word` is a view.  The proper prefix of length L is
+v // q**(n-L) and the proper suffix is v % q**L, so every affix test is
+one integer comparison.  Python ints are unbounded, so the predicates
+accept any (n, q) a code file can hold; numpy's int64 is used only where
+a capacity cap already keeps q**n below 2**63.
 
 All types are immutable after construction; every operation here is a pure
 function.
@@ -30,6 +31,7 @@ MAX_Q = len(DIGITS)  # words serialize as single base-36 digits
 # brute-force ceiling for nonexpandability scans (q**n candidates)
 NONEXPANDABLE_CAP = 2**24
 _SCAN_CHUNK = 1 << 16  # candidates per step of the nonexpandability scan
+_PIECE = 640  # digits per int() call: no interpreter digit limit is lower
 
 
 class CapacityError(Exception):
@@ -75,13 +77,7 @@ class Word:
 
     @classmethod
     def from_digits(cls, text: str, q: int) -> "Word":
-        symbols = []
-        for ch in text:
-            value = DIGITS.find(ch.lower())
-            if value < 0:
-                raise ValueError(f"invalid digit {ch!r}")
-            symbols.append(value)
-        return cls(tuple(symbols), q)
+        return cls.from_value(_decode(text, q), len(text), q)
 
     def to_digits(self) -> str:
         return "".join(DIGITS[s] for s in self.symbols)
@@ -138,13 +134,31 @@ def is_bifix_free(w: Word) -> bool:
     return cross_pair_ok(w, w)
 
 
+def _decode(text: str, q: int) -> int:
+    """The base-q value of a base-36 digit string; the ASCII check refuses
+    signs, underscores, spaces and non-ASCII digits, which int() takes."""
+    if not (text.isascii() and text.isalnum()):
+        raise ValueError(f"invalid digits {text!r}")
+    value = 0
+    for start in range(0, len(text), _PIECE):
+        piece = text[start:start + _PIECE]
+        value = value * q ** len(piece) + int(piece, q)
+    return value
+
+
 @dataclass(frozen=True)
 class Code:
-    """A set of equal-length words over a common alphabet."""
+    """A nonempty set of length-n words over Z_q: their ascending values."""
 
-    words: frozenset[Word]
+    values: tuple[int, ...]
     n: int
     q: int
+
+    def __post_init__(self):
+        v, n, q = self.values, self.n, self.q
+        if not (v and n >= 1 and 2 <= q <= MAX_Q and 0 <= v[0] and v[-1] < q**n
+                and all(a < b for a, b in zip(v, v[1:]))):
+            raise ValueError(f"n={n}, q={q}: need 1+ ascending values in [0, q**n), 2 <= q <= {MAX_Q}")
 
     @classmethod
     def from_words(cls, words: Iterable[Word]) -> "Code":
@@ -157,21 +171,17 @@ class Code:
             raise ValueError(f"mixed word lengths: {sorted(lengths)}")
         if len(alphabets) > 1:
             raise ValueError(f"mixed alphabets: {sorted(alphabets)}")
-        return cls(wordset, lengths.pop(), alphabets.pop())
+        return cls(tuple(sorted(w.to_value() for w in wordset)), lengths.pop(), alphabets.pop())
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.values)
 
-    def __contains__(self, w: Word) -> bool:
-        return w in self.words
+    @property
+    def words(self) -> frozenset[Word]:
+        return frozenset(self.sorted_words())
 
     def sorted_words(self) -> list[Word]:
-        return sorted(self.words)
-
-
-def code_values(code: Code) -> list[int]:
-    """The code's words as base-q integers, ascending."""
-    return sorted(w.to_value() for w in code.words)
+        return [Word.from_value(v, self.n, self.q) for v in self.values]
 
 
 def _shortest_shared(
@@ -196,8 +206,7 @@ def verify_code(code: Code) -> bool:
     """True iff the code is cross-bifix-free: no proper prefix of any
     member is a proper suffix of any member, itself included.  Pooling
     the affixes over the whole code is exactly that all-pairs check."""
-    values = code_values(code)
-    return _shortest_shared(values, values, code.n, code.q) is None
+    return _shortest_shared(code.values, code.values, code.n, code.q) is None
 
 
 def find_violation(code: Code) -> Optional[tuple[Word, Word, tuple[int, ...]]]:
@@ -205,8 +214,7 @@ def find_violation(code: Code) -> Optional[tuple[Word, Word, tuple[int, ...]]]:
     the cross-bifix-free property, or None when the code is valid.  The
     segment is the shortest and, among those, the least; its owners are
     the least words that carry it."""
-    n, q = code.n, code.q
-    values = code_values(code)
+    n, q, values = code.n, code.q, code.values
     found = _shortest_shared(values, values, n, q)
     if found is None:
         return None
@@ -225,7 +233,7 @@ def find_expansion(code: Code, cap: int = NONEXPANDABLE_CAP) -> Optional[Word]:
         raise CapacityError(f"q**n = {q**n} exceeds cap {cap}")
     if not verify_code(code):
         raise ValueError("code is not cross-bifix-free")
-    members = np.array(code_values(code), dtype=np.int64)
+    members = np.array(code.values, dtype=np.int64)
     pools = [
         (np.unique(members // q ** (n - length)), np.unique(members % q**length))
         for length in range(1, n)
@@ -253,8 +261,9 @@ def is_nonexpandable(code: Code, cap: int = NONEXPANDABLE_CAP) -> bool:
 # line, lexicographically sorted, LF line endings.
 
 def format_code(code: Code) -> str:
-    lines = [f"# xbifix code n={code.n} q={code.q}"]
-    lines.extend(w.to_digits() for w in code.sorted_words())
+    n, q = code.n, code.q
+    lines = [f"# xbifix code n={n} q={q}"]
+    lines.extend(np.base_repr(v, q).lower().zfill(n) for v in code.values)
     return "\n".join(lines) + "\n"
 
 
@@ -269,23 +278,25 @@ def parse_code(text: str) -> Code:
         q = int(header["q"])
     except (ValueError, KeyError) as exc:
         raise CodeFormatError(f"bad header: {exc}", line=1) from None
-    words = []
+    # int() would guess the base for q=0 and refuse q=1 or q > 36
+    if not (2 <= q <= MAX_Q and n >= 1):
+        raise CodeFormatError(f"bad header: need 2 <= q <= {MAX_Q} and n >= 1", line=1)
+    values = []
     for i, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         try:
-            w = Word.from_digits(line, q)
+            values.append(_decode(line, q))
         except ValueError as exc:
             raise CodeFormatError(str(exc), line=i) from None
-        if len(w) != n:
-            raise CodeFormatError(f"word length {len(w)} != n={n}", line=i)
-        words.append(w)
-    if not words:
+        if len(line) != n:
+            raise CodeFormatError(f"word length {len(line)} != n={n}", line=i)
+    if not values:
         raise CodeFormatError("no words in file")
-    code = Code.from_words(words)
-    if len(code.words) != len(words):
+    ascending = sorted(set(values))
+    if len(ascending) != len(values):
         raise CodeFormatError("duplicate words in file")
-    return code
+    return Code(tuple(ascending), n, q)
 
 
 def write_code(code: Code, path) -> None:

@@ -239,3 +239,12 @@ class TestSimVerify:
         result = runner.invoke(main, ["verify", str(path)])
         assert result.exit_code == 2
         assert "line" in result.output
+
+    def test_verify_alphabet_zero_exit_2(self, runner, tmp_path):
+        # int(text, 0) would guess the base, so q=0 is refused in the header
+        path = tmp_path / "q0.txt"
+        path.write_text("# xbifix code n=4 q=0\n0011\n")
+        result = runner.invoke(main, ["verify", str(path)])
+        assert result.exit_code == 2
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("usage: line 1: ")

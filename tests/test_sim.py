@@ -1,3 +1,5 @@
+import statistics
+
 import mpmath
 import numpy as np
 import pytest
@@ -85,6 +87,22 @@ class TestRunSim:
         assert abs(stats.variance - predicted) / predicted < 0.10
         assert stats.min >= 3
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [SimConfig(code=generate_direct(10, 3, 2), trials=5000, seed=9),
+         SimConfig(code=generate_direct(7, 2, 2), trials=2000, seed=4, max_stream=12)],
+        ids=["10-3-2", "7-2-2-capped"],
+    )
+    def test_stats_match_statistics(self, cfg):
+        times = [t for t in match_times(cfg).tolist() if t]
+        stats = run_sim(cfg)
+        assert stats.samples == len(times) and stats.truncated == cfg.trials - len(times)
+        assert stats.mean == pytest.approx(statistics.fmean(times), rel=1e-12)
+        assert stats.variance == pytest.approx(statistics.variance(times), rel=1e-12)
+        assert (stats.min, stats.max) == (min(times), max(times))
+        fields = (stats.samples, stats.mean, stats.variance, stats.min, stats.max)
+        assert [type(v) for v in fields] == [int, float, float, int, int]
+
     def test_int64_window_range_guard(self):
         # 3**40 > 2**63: int64 windows would wrap, so the config is refused
         code = Code.from_words([W("2" * 39 + "0", q=3)])
@@ -138,6 +156,8 @@ class TestRunSim:
             (SimConfig(code=generate_direct(7, 2, 2), trials=5000, seed=21), 2),
             # a length-1 code: nothing carries over between passes
             (SimConfig(code=Code.from_words([W("z", q=36)]), trials=300, seed=21), 1),
+            # 13,624 words: the scanner's target set is built once per call
+            (SimConfig(code=generate_direct(21, 5, 2), trials=200, seed=21), 1),
             # max_stream cuts the second pass's take from 19 symbols to 11
             (SimConfig(code=generate_direct(7, 2, 2), trials=5000, seed=21, max_stream=30), 2),
         ]

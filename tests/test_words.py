@@ -207,6 +207,41 @@ class TestVerifyCode:
             Code.from_words([W("01"), W("011")])
 
 
+class TestCodeValues:
+    @pytest.mark.parametrize(
+        "values,n,q",
+        [((), 4, 2), ((3, 1), 4, 2), ((1, 1), 4, 2), ((16,), 4, 2), ((-1,), 4, 2),
+         ((0,), 0, 2), ((0,), 1, 1), ((0,), 1, 37)],
+        ids=["empty", "unsorted", "duplicate", "too-large", "negative", "n0", "q1", "q37"],
+    )
+    def test_invariant(self, values, n, q):
+        with pytest.raises(ValueError):
+            Code(values, n, q)
+
+    def test_values_ascend(self):
+        code = Code.from_words([W("0111"), W("0011"), W("0001")])
+        assert code.values == (1, 3, 7)
+        assert code.sorted_words() == [W("0001"), W("0011"), W("0111")]
+
+
+def _round_trip_codes():
+    import random
+
+    rng = random.Random(5)
+    return [
+        pytest.param(Code.from_words(
+            Word(tuple(rng.randrange(3) for _ in range(60)), 3) for _ in range(20)
+        ), id="n60-q3"),
+        pytest.param(Code.from_words(W(d, q=36) for d in ("0z", "a1", "zz", "00", "9a")), id="q36"),
+        pytest.param(Code.from_words([W("0"), W("1")]), id="n1-q2"),
+        pytest.param(Code.from_words([W("z", q=36)]), id="n1-q36"),
+        # past the interpreter's int-to-str digit limit (4300 by default)
+        pytest.param(Code.from_words(
+            Word(tuple(rng.randrange(3) for _ in range(5000)), 3) for _ in range(3)
+        ), id="n5000-q3"),
+    ]
+
+
 class TestNonexpandable:
     def test_singleton_01(self):
         # frozen verdict of the exhaustive check over Z_2^2
@@ -249,6 +284,12 @@ class TestFileFormat:
         write_code(parse_code(text), path)
         assert path.read_text() == text
 
+    @pytest.mark.parametrize("code", _round_trip_codes())
+    def test_round_trip_against_word_path(self, code):
+        text = format_code(code)
+        assert parse_code(text) == code
+        assert text.splitlines()[1:] == [w.to_digits() for w in code.sorted_words()]
+
     def test_sorted_output(self):
         code = Code.from_words([W("0011101"), W("0010101")])
         lines = format_code(code).splitlines()
@@ -267,3 +308,35 @@ class TestFileFormat:
         with pytest.raises(CodeFormatError) as err:
             parse_code("# xbifix code n=4 q=2\n001\n")
         assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "line", ["0_11", "+011", " 011", "011 ", "\u0660\u0660\u0661\u0661"],
+        ids=["underscore", "sign", "leading-space", "trailing-space", "arabic-indic"],
+    )
+    def test_int_syntax_refused(self, line):
+        # int(line, 2) reads each of these as 3; the file format does not
+        assert int(line, 2) == 3
+        with pytest.raises(CodeFormatError) as err:
+            parse_code(f"# xbifix code n=4 q=2\n0011\n{line}\n")
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("header", ["n=4 q=0", "n=4 q=1", "n=4 q=37", "n=0 q=2"])
+    def test_header_out_of_range(self, header):
+        with pytest.raises(CodeFormatError) as err:
+            parse_code(f"# xbifix code {header}\n0011\n")
+        assert err.value.line == 1
+
+    def test_generate_format_parse_build_no_word(self, monkeypatch):
+        from xbifix.construction import generate_direct
+
+        def refuse(self):
+            raise RuntimeError("a Word was built")
+
+        code = generate_direct(16, 5, 3)
+        text = format_code(code)
+        monkeypatch.setattr(Word, "__post_init__", refuse)
+        with pytest.raises(RuntimeError):
+            W("01")
+        assert generate_direct(16, 5, 3) == code
+        assert format_code(code) == text
+        assert parse_code(text) == code
