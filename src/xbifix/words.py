@@ -135,10 +135,10 @@ def is_bifix_free(w: Word) -> bool:
 
 
 def _decode(text: str, q: int) -> int:
-    """The base-q value of a base-36 digit string; the ASCII check refuses
-    signs, underscores, spaces and non-ASCII digits, which int() takes."""
-    if not (text.isascii() and text.isalnum()):
-        raise ValueError(f"invalid digits {text!r}")
+    """The base-q value of ASCII digits below q, either case; int() alone
+    also takes signs, underscores, spaces, non-ASCII digits, 0b/0o/0x."""
+    if not text.isascii() or text.lower().strip(DIGITS[:q]):
+        raise ValueError(f"invalid digits for q={q}: {text!r}")
     value = 0
     for start in range(0, len(text), _PIECE):
         piece = text[start:start + _PIECE]

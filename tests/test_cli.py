@@ -248,3 +248,12 @@ class TestSimVerify:
         assert result.exit_code == 2
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("usage: line 1: ")
+
+    def test_verify_base_prefix_exit_2(self, runner, tmp_path):
+        # int("0b11", 2) == 3, but 'b' is not a base-2 digit
+        path = tmp_path / "prefix.txt"
+        path.write_text("# xbifix code n=4 q=2\n0011\n0b11\n")
+        result = runner.invoke(main, ["verify", str(path)])
+        assert result.exit_code == 2
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("usage: line 3: ")

@@ -320,6 +320,31 @@ class TestFileFormat:
             parse_code(f"# xbifix code n=4 q=2\n0011\n{line}\n")
         assert err.value.line == 3
 
+    @pytest.mark.parametrize(
+        "q, line", [(2, "0b11"), (8, "0o17"), (16, "0x1f"), (2, "0B11"), (16, "0X1F")]
+    )
+    def test_base_prefix_refused(self, q, line):
+        # int(line, q) strips a prefix naming its own base; the file format does not
+        assert int(line, q) > 0
+        with pytest.raises(ValueError):
+            W(line, q)
+        with pytest.raises(CodeFormatError) as err:
+            parse_code(f"# xbifix code n=4 q={q}\n0011\n{line}\n")
+        assert err.value.line == 3
+
+    def test_base_prefix_refused_at_piece_boundary(self):
+        from xbifix.words import _PIECE
+
+        line = "0" * _PIECE + "0b11"
+        with pytest.raises(CodeFormatError) as err:
+            parse_code(f"# xbifix code n={len(line)} q=2\n{line}\n")
+        assert err.value.line == 2
+
+    def test_either_case_parses(self):
+        assert parse_code("# xbifix code n=3 q=16\n0aF\n0Ab\n") == Code.from_words(
+            [W("0af", 16), W("0ab", 16)]
+        )
+
     @pytest.mark.parametrize("header", ["n=4 q=0", "n=4 q=1", "n=4 q=37", "n=0 q=2"])
     def test_header_out_of_range(self, header):
         with pytest.raises(CodeFormatError) as err:
