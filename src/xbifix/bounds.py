@@ -102,6 +102,8 @@ def asymptotic_probe(
     approaches (q-1)/(q*e) from below when c = q/(q-1), the maximizing
     choice.
     """
+    if q < 2:
+        raise ValueError(f"q must be >= 2, got {q}")
     if c is None:
         c = q / (q - 1)
     if c <= 0:

@@ -26,7 +26,6 @@ from .fibonacci import DEFAULT_PRECISION_BITS, fib, find_alpha
 from .sim import DEFAULT_MAX_STREAM, SimConfig, run_sim
 from .words import (
     CapacityError,
-    CodeFormatError,
     NONEXPANDABLE_CAP,
     find_violation,
     format_code,
@@ -38,6 +37,7 @@ from .words import (
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+DESK_SCALE_N = 14  # longest binary length an exact clique search runs unasked
 
 
 def _default_bits() -> int:
@@ -65,7 +65,8 @@ def _all_digits():
 
 @contextmanager
 def _usage_line():
-    """Report a usage error as one stderr line and exit 2."""
+    """Report an error as one stderr line: a usage error or a ValueError
+    (a malformed code file included) exits 2, a CapacityError exits 3."""
     try:
         yield
     except getattr(click.exceptions, "NoArgsIsHelpError", ()):
@@ -73,6 +74,20 @@ def _usage_line():
     except click.UsageError as exc:
         click.echo(f"usage: {exc.format_message()}", err=True)
         raise SystemExit(EXIT_USAGE)
+    except ValueError as exc:
+        click.echo(f"usage: {exc}", err=True)
+        raise SystemExit(EXIT_USAGE)
+    except CapacityError as exc:
+        click.echo(f"capacity: {exc}", err=True)
+        raise SystemExit(EXIT_CAPACITY)
+
+
+def _desk_scale(n: int, q: int, hint: str) -> None:
+    """Refuse an exact clique search beyond the binary desk-scale range."""
+    if q == 2 and n > DESK_SCALE_N:
+        raise click.UsageError(
+            f"n={n} exceeds the desk-scale range ({DESK_SCALE_N}); {hint}"
+        )
 
 
 class _Group(click.Group):
@@ -116,13 +131,7 @@ def main():
 @click.option("--out", type=click.Path(dir_okay=False), help="output file (with manifest)")
 def gen(n, k, q, out):
     """Generate the zero-run code for (n, k, q)."""
-    try:
-        code = generate_direct(n, k, q)
-    except CapacityError as exc:
-        click.echo(f"capacity: {exc}", err=True)
-        raise SystemExit(EXIT_CAPACITY)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    code = generate_direct(n, k, q)
     if out:
         write_code(code, out)
         _write_manifest(out, "gen", {"n": n, "k": k, "q": q})
@@ -137,10 +146,7 @@ def gen(n, k, q, out):
 @click.option("--json", "as_json", is_flag=True)
 def best(n, q, as_json):
     """Best construction size over all k."""
-    try:
-        record = best_size(n, q)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    record = best_size(n, q)
     k = "-" if record.best_k is None else record.best_k
     with _all_digits():
         if as_json:
@@ -155,10 +161,7 @@ def best(n, q, as_json):
 @click.option("--n", type=int, required=True)
 def fib_cmd(k, q, n):
     """Weighted k-step Fibonacci value F_{k,q}(n)."""
-    try:
-        value = fib(k, q, n)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    value = fib(k, q, n)
     with _all_digits():
         click.echo(value)
 
@@ -170,11 +173,8 @@ def fib_cmd(k, q, n):
 @click.option("--json", "as_json", is_flag=True)
 def alpha(k, q, bits, as_json):
     """Dominant root alpha(k, q) of the growth polynomial."""
-    bits = bits or _default_bits()
-    try:
-        est = find_alpha(k, q, bits)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    bits = bits if bits is not None else _default_bits()
+    est = find_alpha(k, q, bits)
     digits = max(int(bits * math.log10(2)) - 2, 6)
     import mpmath
 
@@ -213,6 +213,8 @@ def alpha(k, q, bits, as_json):
 def table(q, n_max, as_json, markdown, clique_upto):
     """Per-length size table: earlier construction, this construction,
     best k, and the variance upper bound."""
+    if clique_upto:
+        _desk_scale(min(clique_upto, n_max), q, "run `xbifix clique --long` for longer lengths")
     rows = []
     for n in range(3, n_max + 1):
         if n == 3 and q != 2:
@@ -247,7 +249,7 @@ def table(q, n_max, as_json, markdown, clique_upto):
         ]
         for r in rows
     ]
-    widths = [max(len(h), *(len(row[i]) for row in fmt_rows)) for i, h in enumerate(header)]
+    widths = [max([len(h), *(len(row[i]) for row in fmt_rows)]) for i, h in enumerate(header)]
     if markdown:
         click.echo("| " + " | ".join(h.ljust(w) for h, w in zip(header, widths)) + " |")
         click.echo("|" + "|".join("-" * (w + 2) for w in widths) + "|")
@@ -267,11 +269,7 @@ def table(q, n_max, as_json, markdown, clique_upto):
 @click.option("--json", "as_json", is_flag=True)
 def probe(q, k_min, k_max, c, as_json):
     """Asymptotic ratio diagnostics along n(k) = ceil(c * alpha**k)."""
-    try:
-        rows = asymptotic_probe(q, range(k_min, k_max + 1), c=c)
-    except CapacityError as exc:
-        click.echo(f"capacity: {exc}", err=True)
-        raise SystemExit(EXIT_CAPACITY)
+    rows = asymptotic_probe(q, range(k_min, k_max + 1), c=c)
     target = target_ratio(q)
     if as_json:
         with _all_digits():
@@ -301,17 +299,9 @@ def probe(q, k_min, k_max, c, as_json):
 @click.option("--witness-out", type=click.Path(dir_okay=False))
 def clique(n, q, budget, long_run, witness_out):
     """Exact maximum cross-bifix-free code size by clique search."""
-    if q == 2 and n > 14 and not long_run:
-        raise click.UsageError(
-            f"n={n} exceeds the desk-scale range (14); pass --long to run anyway "
-            "(runtime may be hours)"
-        )
-    try:
-        graph = build_graph(n, q)
-    except CapacityError as exc:
-        click.echo(f"capacity: {exc}", err=True)
-        raise SystemExit(EXIT_CAPACITY)
-    result = max_clique(graph, time_budget=budget)
+    if not long_run:
+        _desk_scale(n, q, "pass --long to run anyway (runtime may be hours)")
+    result = max_clique(build_graph(n, q), time_budget=budget)
     status = "optimal" if result.optimal else "lower bound only (budget exhausted)"
     click.echo(
         f"C({n},{q}) {'=' if result.optimal else '>='} {result.size}  [{status}; "
@@ -336,15 +326,9 @@ def clique(n, q, budget, long_run, witness_out):
 @click.option("--json", "as_json", is_flag=True)
 def sim(code_file, trials, seed, max_stream, as_json):
     """Simulate time-to-first-match of the code in a uniform stream."""
-    try:
-        code = read_code(code_file)
-    except CodeFormatError as exc:
-        raise click.UsageError(str(exc))
+    code = read_code(code_file)
     try:
         stats = run_sim(SimConfig(code=code, trials=trials, seed=seed, max_stream=max_stream))
-    except CapacityError as exc:
-        click.echo(f"capacity: {exc}", err=True)
-        raise SystemExit(EXIT_CAPACITY)
     except ValueError as exc:
         click.echo(f"invalid code: {exc}", err=True)
         raise SystemExit(EXIT_VIOLATION)
@@ -380,10 +364,7 @@ def sim(code_file, trials, seed, max_stream, as_json):
 @click.argument("code_file", type=click.Path(exists=True, dir_okay=False))
 def verify(code_file):
     """Verify a code file: cross-bifix-free and nonexpandable."""
-    try:
-        code = read_code(code_file)
-    except CodeFormatError as exc:
-        raise click.UsageError(str(exc))
+    code = read_code(code_file)
     violation = find_violation(code)
     if violation is not None:
         w1, w2, seg = violation

@@ -1,21 +1,23 @@
 """Exact maximum-clique search over the compatibility graph of
 bifix-free words, giving the true maximum code size for small lengths.
 
-Vertices are the bifix-free words of length n; an edge joins two words
-that are mutually cross-bifix-free.  The solver is a branch-and-bound
-with greedy-coloring upper bounds over bitset candidate sets, seeded
-with the constructed code as the initial incumbent.
+Vertices are the bifix-free words of length n, as base-q values in
+descending-degree order; an edge joins two words that are mutually
+cross-bifix-free.  The solver is a branch-and-bound with greedy-coloring
+upper bounds over bitset candidate sets.  From n = 4 on it is seeded with
+the constructed code as the initial incumbent; below that it starts empty.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .construction import best_size, generate_direct
-from .words import CapacityError, Code, Word, verify_code
+from .words import MAX_Q, CapacityError, Code, verify_code
 
 DEFAULT_VERTEX_CAP = 2**16
 _ROW_BLOCK = 256  # graph-build rows per step; bounds memory to 256 x V booleans
@@ -27,11 +29,8 @@ class CompatGraph:
 
     n: int
     q: int
-    vertices: tuple[Word, ...]
+    vertices: tuple[int, ...]
     adjacency: tuple[int, ...]
-
-    def degree(self, i: int) -> int:
-        return self.adjacency[i].bit_count()
 
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.adjacency) // 2
@@ -46,10 +45,27 @@ class CliqueResult:
     optimal: bool
 
 
+def _compatible(words: np.ndarray, n: int, q: int) -> Iterator[np.ndarray]:
+    """Blocks of up to _ROW_BLOCK rows of the boolean adjacency matrix,
+    True where two words are mutually cross-bifix-free, False on the
+    diagonal."""
+    affixes = [(words // q ** (n - length), words % q**length) for length in range(1, n)]
+    for start in range(0, len(words), _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        ok = np.ones((len(words[rows]), len(words)), dtype=bool)
+        for head, tail in affixes:
+            ok &= (head[rows, None] != tail) & (tail[rows, None] != head)
+        np.fill_diagonal(ok[:, start:], False)
+        yield ok
+
+
 def build_graph(n: int, q: int, cap: int = DEFAULT_VERTEX_CAP) -> CompatGraph:
-    """All bifix-free words of length n over Z_q, in lexicographic order,
-    joined when mutually cross-bifix-free; no self-loops are stored.  The
-    words are base-q int64 values (see xbifix.words), exact under the cap."""
+    """All bifix-free words of length n over Z_q, as base-q values (see
+    xbifix.words), joined when mutually cross-bifix-free; no self-loops
+    are stored.  The vertices are in search order: descending degree,
+    then ascending value.  int64 is exact under the cap."""
+    if n < 1 or not 2 <= q <= MAX_Q:
+        raise ValueError(f"need n >= 1 and 2 <= q <= {MAX_Q}, got n={n}, q={q}")
     if q**n > cap * 8:
         raise CapacityError(f"q**n = {q**n} too large to enumerate")
     words = np.arange(q**n, dtype=np.int64)
@@ -57,29 +73,14 @@ def build_graph(n: int, q: int, cap: int = DEFAULT_VERTEX_CAP) -> CompatGraph:
         words = words[words // q ** (n - length) != words % q**length]
     if len(words) > cap:
         raise CapacityError(f"{len(words)} vertices exceed cap {cap}")
-    affixes = [(words // q ** (n - length), words % q**length) for length in range(1, n)]
+    degree = np.concatenate([ok.sum(axis=1) for ok in _compatible(words, n, q)])
+    words = words[np.argsort(-degree, kind="stable")]
     adjacency: list[int] = []
-    for start in range(0, len(words), _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        ok = np.ones((len(words[rows]), len(words)), dtype=bool)
-        for head, tail in affixes:
-            ok &= (head[rows, None] != tail) & (tail[rows, None] != head)
-        np.fill_diagonal(ok[:, start:], False)
+    for ok in _compatible(words, n, q):
         # row i as an int whose bit j is the edge to vertex j
         packed = np.packbits(ok, axis=1, bitorder="little")
         adjacency.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
-    vertices = tuple(Word.from_value(int(v), n, q) for v in words)
-    return CompatGraph(n=n, q=q, vertices=vertices, adjacency=tuple(adjacency))
-
-
-def _greedy_clique(adj: list[int], order: list[int]) -> list[int]:
-    clique: list[int] = []
-    candidates = (1 << len(adj)) - 1
-    for v in order:
-        if candidates >> v & 1:
-            clique.append(v)
-            candidates &= adj[v]
-    return clique
+    return CompatGraph(n=n, q=q, vertices=tuple(words.tolist()), adjacency=tuple(adjacency))
 
 
 def _seed_clique(graph: CompatGraph) -> list[int]:
@@ -87,22 +88,12 @@ def _seed_clique(graph: CompatGraph) -> list[int]:
     It is a clique by construction and a strong starting incumbent."""
     if graph.n < 4:
         return []
-    try:
-        record = best_size(graph.n, graph.q)
-    except ValueError:
-        return []
-    if record.best_k is None:
-        return []
-    code = generate_direct(graph.n, record.best_k, graph.q)
-    index = {w: i for i, w in enumerate(graph.vertices)}
-    return [index[w] for w in code.sorted_words()]
+    code = generate_direct(graph.n, best_size(graph.n, graph.q).best_k, graph.q)
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    return [index[v] for v in code.values]
 
 
-def max_clique(
-    graph: CompatGraph,
-    time_budget: float | None = None,
-    use_seed: bool = True,
-) -> CliqueResult:
+def max_clique(graph: CompatGraph, time_budget: float | None = None) -> CliqueResult:
     """Branch-and-bound maximum clique with greedy-coloring bounds.
 
     Within the budget the result is the exact maximum (optimal=True);
@@ -113,31 +104,19 @@ def max_clique(
         raise ValueError("time_budget must be positive")
     start = time.monotonic()
     deadline = None if time_budget is None else start + time_budget
-    nv = len(graph.vertices)
-
-    # fixed vertex order: descending degree, index as tie-break
-    order = sorted(range(nv), key=lambda i: (-graph.degree(i), i))
-    pos = {v: i for i, v in enumerate(order)}
-    adj = [0] * nv
-    for new_i, old_i in enumerate(order):
-        mask = graph.adjacency[old_i]
-        while mask:
-            j = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            adj[new_i] |= 1 << pos[j]
-
-    best = [pos[v] for v in _seed_clique(graph)] if use_seed else []
-    if not best:
-        best = _greedy_clique(adj, list(range(nv)))
+    adj = graph.adjacency
+    best = _seed_clique(graph)
     nodes = 0
     out_of_budget = False
 
     def expand(clique: list[int], candidates: int) -> None:
         nonlocal best, nodes, out_of_budget
         nodes += 1
+        # the budget is checked once a witness exists, so one is returned
         if out_of_budget or (
             deadline is not None
             and nodes % 256 == 0
+            and best
             and time.monotonic() > deadline
         ):
             out_of_budget = True
@@ -172,9 +151,9 @@ def max_clique(
             if out_of_budget:
                 return
 
-    expand([], (1 << nv) - 1)
+    expand([], (1 << len(adj)) - 1)
 
-    witness = Code.from_words(graph.vertices[order[v]] for v in best)
+    witness = Code(tuple(sorted(graph.vertices[v] for v in best)), graph.n, graph.q)
     if not verify_code(witness):
         raise RuntimeError("clique witness is not cross-bifix-free")
     return CliqueResult(

@@ -105,6 +105,12 @@ class TestFibAlpha:
         assert len(result.stderr.strip().splitlines()) == 1
         assert "XBIFIX_PRECISION_BITS" in result.stderr
 
+    def test_alpha_zero_bits_refused(self, runner):
+        result = runner.invoke(main, ["alpha", "--k", "3", "--q", "2", "--bits", "0"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("usage: precision_bits")
+
     def test_alpha_json_bracket(self, runner):
         result = runner.invoke(
             main, ["alpha", "--k", "5", "--q", "2", "--json", "--bits", "64"]
@@ -133,6 +139,17 @@ class TestTable:
         )
         rows = {r["n"]: r for r in json.loads(result.output)["rows"]}
         assert rows[9]["optimal"] == "14"
+
+    def test_no_rows_prints_the_header(self, runner):
+        # q=3 starts at n=4, so n-max 3 leaves no rows
+        result = runner.invoke(main, ["table", "--q", "3", "--n-max", "3"])
+        assert result.exit_code == 0
+        assert result.stdout.split() == ["n", "B(n)", "S(n,3)", "k", "bound", "C(n,q)"]
+
+    def test_clique_upto_beyond_desk_scale(self, runner):
+        result = runner.invoke(main, ["table", "--n-max", "15", "--clique-upto", "15"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("usage: n=15 exceeds the desk-scale range")
 
 
 class TestClique:
@@ -257,3 +274,27 @@ class TestSimVerify:
         assert result.exit_code == 2
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("usage: line 3: ")
+
+
+class TestErrors:
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["table", "--q", "1"], 2),
+            (["probe", "--k-min", "1", "--k-max", "3"], 2),
+            (["probe", "--k-max", "5", "--c", "-1"], 2),
+            (["probe", "--q", "1", "--k-max", "5"], 2),
+            (["clique", "--n", "6", "--budget", "0"], 2),
+            (["clique", "--n", "4", "--q", "1"], 2),
+            (["clique", "--n", "0"], 2),
+            (["gen", "--n", "30", "--k", "2"], 3),
+        ],
+        ids=lambda a: " ".join(a) if isinstance(a, list) else f"exit-{a}",
+    )
+    def test_one_stderr_line_no_traceback(self, runner, args, code):
+        result = runner.invoke(main, args)
+        assert result.exit_code == code
+        assert isinstance(result.exception, SystemExit)
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("usage: " if code == 2 else "capacity: ")
+        assert "Traceback" not in result.output

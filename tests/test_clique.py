@@ -4,7 +4,7 @@ import pytest
 
 from xbifix.clique import build_graph, certify_optimal_row, max_clique
 from xbifix.construction import best_size
-from xbifix.words import CapacityError, cross_pair_ok, is_bifix_free, verify_code
+from xbifix.words import CapacityError, Word, cross_pair_ok, is_bifix_free, verify_code
 
 from oracles import all_words, naive_cross_pair_ok
 
@@ -35,7 +35,7 @@ class TestBuildGraph:
         assert len(build_graph(4, 2).vertices) == 6
         # vertices are exactly the bifix-free words
         g = build_graph(3, 2)
-        expected = {w for w in all_words(3, 2) if is_bifix_free(w)}
+        expected = {w.to_value() for w in all_words(3, 2) if is_bifix_free(w)}
         assert set(g.vertices) == expected
 
     def test_edges_match_pair_predicate(self):
@@ -46,11 +46,23 @@ class TestBuildGraph:
                 if i == j:
                     assert not edge
                 else:
-                    assert edge == cross_pair_ok(u, v)
+                    assert edge == cross_pair_ok(Word.from_value(u, 5, 2), Word.from_value(v, 5, 2))
+
+    @pytest.mark.parametrize("n,q", [(8, 2), (5, 3)])
+    def test_search_order(self, n, q):
+        # descending degree, then ascending value
+        g = build_graph(n, q)
+        keys = [(-a.bit_count(), v) for v, a in zip(g.vertices, g.adjacency)]
+        assert keys == sorted(keys)
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             build_graph(10, 2, cap=50)
+
+    @pytest.mark.parametrize("n,q", [(0, 2), (4, 1)])
+    def test_invalid_parameters(self, n, q):
+        with pytest.raises(ValueError):
+            build_graph(n, q)
 
 
 class TestMaxClique:
@@ -81,9 +93,11 @@ class TestMaxClique:
         b = max_clique(g)
         assert (a.size, a.nodes_explored, a.witness) == (b.size, b.nodes_explored, b.witness)
 
-    def test_unseeded_matches_seeded(self):
+    def test_unseeded_matches_seeded(self, monkeypatch):
         g = build_graph(9, 2)
-        assert max_clique(g, use_seed=False).size == max_clique(g).size
+        seeded = max_clique(g).size
+        monkeypatch.setattr("xbifix.clique._seed_clique", lambda graph: [])
+        assert max_clique(g).size == seeded
 
     def test_budget_exhaustion_flags_partial(self):
         g = build_graph(12, 2)
@@ -91,6 +105,14 @@ class TestMaxClique:
         if not result.optimal:
             assert verify_code(result.witness)
             assert result.size <= OPTIMAL[12]
+
+    def test_budget_waits_for_a_first_witness(self):
+        # below n=4 the search starts empty, and here its first descent is
+        # deeper than the 256 nodes between budget checks
+        result = max_clique(build_graph(3, 16), time_budget=0.001)
+        assert not result.optimal
+        assert len(result.witness) == result.size > 256
+        assert verify_code(result.witness)
 
     def test_witness_is_clique_even_when_partial(self):
         g = build_graph(10, 2)
