@@ -25,5 +25,5 @@ from .construction import (  # noqa: F401
 )
 from .fibonacci import fib, fib_closed_form, find_alpha, kq_threshold  # noqa: F401
 from .bounds import bilotta_size, upper_bound, variance_formula  # noqa: F401
-from .clique import build_graph, certify_optimal_row, max_clique  # noqa: F401
+from .clique import build_graph, max_clique  # noqa: F401
 from .sim import SimConfig, SyncStats, first_match_time, run_sim  # noqa: F401

@@ -20,7 +20,7 @@ from .fibonacci import find_alpha
 from .construction import best_size, size_formula
 from .words import CapacityError
 
-PROBE_N_CAP = 200_000
+PROBE_N_CAP = 200_000  # longest n(k) asymptotic_probe counts
 
 
 def upper_bound(n: int, q: int) -> Fraction:
@@ -89,12 +89,7 @@ class ProbeRow:
     ratio: float
 
 
-def asymptotic_probe(
-    q: int,
-    k_range,
-    c: float | None = None,
-    n_cap: int = PROBE_N_CAP,
-) -> list[ProbeRow]:
+def asymptotic_probe(q: int, k_range, c: float | None = None) -> list[ProbeRow]:
     """Size-to-bound ratios along the scaling n(k) = ceil(c * alpha**k).
 
     For each k the exact construction size at that k and length n(k) is
@@ -112,8 +107,8 @@ def asymptotic_probe(
     for k in k_range:
         alpha = find_alpha(k, q).alpha
         n = int(math.ceil(c * alpha**k))
-        if n > n_cap:
-            raise CapacityError(f"n(k={k}) = {n} exceeds cap {n_cap}")
+        if n > PROBE_N_CAP:
+            raise CapacityError(f"n(k={k}) = {n} exceeds cap {PROBE_N_CAP}")
         size = size_formula(n, k, q)
         # ratio via logs: q**n is far beyond float range
         log_ratio = math.log(size) + math.log(n) - n * math.log(q)

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 property violated, 2 usage or parse error,
 3 capacity or budget exhausted; each error is one line on stderr.  Big
 integers are printed in full, as decimal strings in JSON output.
-XBIFIX_PRECISION_BITS sets the default working precision for root finding.
+XBIFIX_PRECISION_BITS sets the default `--bits` of `alpha`; no other
+command reads it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .fibonacci import DEFAULT_PRECISION_BITS, fib, find_alpha
 from .sim import DEFAULT_MAX_STREAM, SimConfig, run_sim
 from .words import (
     CapacityError,
-    NONEXPANDABLE_CAP,
     find_violation,
     format_code,
     is_nonexpandable,
@@ -37,7 +37,7 @@ from .words import (
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
-DESK_SCALE_N = 14  # longest binary length an exact clique search runs unasked
+DESK_SCALE_N = 14  # an exact clique search runs unasked on q**n <= 2**DESK_SCALE_N words
 
 
 def _default_bits() -> int:
@@ -83,10 +83,12 @@ def _usage_line():
 
 
 def _desk_scale(n: int, q: int, hint: str) -> None:
-    """Refuse an exact clique search beyond the binary desk-scale range."""
-    if q == 2 and n > DESK_SCALE_N:
+    """Refuse an exact clique search over more than 2**DESK_SCALE_N words;
+    build_graph reports an invalid (n, q) itself.  n > DESK_SCALE_N is
+    refused before q**n is computed."""
+    if n >= 1 and q >= 2 and (n > DESK_SCALE_N or q**n > 2**DESK_SCALE_N):
         raise click.UsageError(
-            f"n={n} exceeds the desk-scale range ({DESK_SCALE_N}); {hint}"
+            f"n={n} exceeds the desk-scale range (q**n <= 2**{DESK_SCALE_N}); {hint}"
         )
 
 
@@ -295,7 +297,7 @@ def probe(q, k_min, k_max, c, as_json):
 @click.option("--n", type=int, required=True)
 @click.option("--q", type=int, default=2, show_default=True)
 @click.option("--budget", type=float, default=None, help="time budget in seconds")
-@click.option("--long", "long_run", is_flag=True, help="allow lengths beyond the desk-scale cap")
+@click.option("--long", "long_run", is_flag=True, help="allow q**n beyond the desk-scale cap")
 @click.option("--witness-out", type=click.Path(dir_okay=False))
 def clique(n, q, budget, long_run, witness_out):
     """Exact maximum cross-bifix-free code size by clique search."""
@@ -374,13 +376,11 @@ def verify(code_file):
             f"is a suffix of {w2.to_digits()})"
         )
         raise SystemExit(EXIT_VIOLATION)
-    line = "cross-bifix-free: yes"
-    if code.q**code.n <= NONEXPANDABLE_CAP:
+    try:
         verdict = "yes" if is_nonexpandable(code) else "no"
-        line += f"; nonexpandable: {verdict}"
-    else:
-        line += "; nonexpandable: not checked (instance too large)"
-    click.echo(line)
+    except CapacityError:
+        verdict = "not checked (instance too large)"
+    click.echo(f"cross-bifix-free: yes; nonexpandable: {verdict}")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import numpy as np
 from .construction import best_size, generate_direct
 from .words import MAX_Q, CapacityError, Code, verify_code
 
-DEFAULT_VERTEX_CAP = 2**16
+VERTEX_CAP = 2**16  # bifix-free words build_graph takes as vertices at most
 _ROW_BLOCK = 256  # graph-build rows per step; bounds memory to 256 x V booleans
 
 
@@ -59,20 +59,20 @@ def _compatible(words: np.ndarray, n: int, q: int) -> Iterator[np.ndarray]:
         yield ok
 
 
-def build_graph(n: int, q: int, cap: int = DEFAULT_VERTEX_CAP) -> CompatGraph:
+def build_graph(n: int, q: int) -> CompatGraph:
     """All bifix-free words of length n over Z_q, as base-q values (see
     xbifix.words), joined when mutually cross-bifix-free; no self-loops
     are stored.  The vertices are in search order: descending degree,
     then ascending value.  int64 is exact under the cap."""
     if n < 1 or not 2 <= q <= MAX_Q:
         raise ValueError(f"need n >= 1 and 2 <= q <= {MAX_Q}, got n={n}, q={q}")
-    if q**n > cap * 8:
+    if q**n > VERTEX_CAP * 8:
         raise CapacityError(f"q**n = {q**n} too large to enumerate")
     words = np.arange(q**n, dtype=np.int64)
     for length in range(1, n):
         words = words[words // q ** (n - length) != words % q**length]
-    if len(words) > cap:
-        raise CapacityError(f"{len(words)} vertices exceed cap {cap}")
+    if len(words) > VERTEX_CAP:
+        raise CapacityError(f"{len(words)} vertices exceed cap {VERTEX_CAP}")
     degree = np.concatenate([ok.sum(axis=1) for ok in _compatible(words, n, q)])
     words = words[np.argsort(-degree, kind="stable")]
     adjacency: list[int] = []
@@ -162,31 +162,4 @@ def max_clique(graph: CompatGraph, time_budget: float | None = None) -> CliqueRe
         nodes_explored=nodes,
         wall_time=time.monotonic() - start,
         optimal=not out_of_budget,
-    )
-
-
-@dataclass(frozen=True)
-class OptimalRow:
-    n: int
-    q: int
-    clique_size: int
-    construction_size: int
-    matches_construction: bool
-    optimal: bool
-
-
-def certify_optimal_row(
-    n: int, q: int, time_budget: float | None = None, cap: int = DEFAULT_VERTEX_CAP
-) -> OptimalRow:
-    """Run the exact search and compare the maximum code size with the
-    construction's best size at the same length."""
-    result = max_clique(build_graph(n, q, cap=cap), time_budget=time_budget)
-    construction = best_size(n, q).size if (n >= 4 or q == 2) else 0
-    return OptimalRow(
-        n=n,
-        q=q,
-        clique_size=result.size,
-        construction_size=construction,
-        matches_construction=result.size == construction,
-        optimal=result.optimal,
     )

@@ -16,7 +16,7 @@ import numpy as np
 from .fibonacci import fib
 from .words import CapacityError, Code
 
-DEFAULT_ENUM_CAP = 2**20
+ENUM_CAP = 2**20  # interior windows generate_direct enumerates at most
 
 
 def validate_params(n: int, k: int, q: int) -> None:
@@ -26,7 +26,7 @@ def validate_params(n: int, k: int, q: int) -> None:
         raise ValueError(f"k={k} outside [2, n-2] = [2, {n - 2}] for n={n}")
 
 
-def generate_direct(n: int, k: int, q: int, cap: int = DEFAULT_ENUM_CAP) -> Code:
+def generate_direct(n: int, k: int, q: int) -> Code:
     """Enumerate the code by filtering all q**(n-k-2) interior windows.
 
     The word 0^k alpha middle beta has the value alpha*q**(m+1) +
@@ -34,8 +34,8 @@ def generate_direct(n: int, k: int, q: int, cap: int = DEFAULT_ENUM_CAP) -> Code
     """
     validate_params(n, k, q)
     m = n - k - 2
-    if q**m > cap:
-        raise CapacityError(f"q**(n-k-2) = {q**m} exceeds cap {cap}")
+    if q**m > ENUM_CAP:
+        raise CapacityError(f"q**(n-k-2) = {q**m} exceeds cap {ENUM_CAP}")
     middles = np.arange(q**m, dtype=np.int64)
     for shift in range(m - k + 1):
         # drop middles whose symbols q**shift .. q**(shift+k-1) are all zero
@@ -83,5 +83,5 @@ def best_size(n: int, q: int) -> SizeRecord:
             raise ValueError("n=3 is only tabulated for the binary alphabet")
         return SizeRecord(n=3, q=2, best_k=None, size=1, per_k={})
     per_k = {k: size_formula(n, k, q) for k in range(2, n - 1)}
-    best_k = min(k for k, v in per_k.items() if v == max(per_k.values()))
+    best_k = max(per_k, key=per_k.get)  # the first maximum: smallest k on ties
     return SizeRecord(n=n, q=q, best_k=best_k, size=per_k[best_k], per_k=per_k)

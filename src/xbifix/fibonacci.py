@@ -41,10 +41,12 @@ def fib(k: int, q: int, n: int) -> int:
     _check_kq(k, q)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    if n < k:
+        return q**n
     window = deque([q**i for i in range(k)] + [q**k - 1], maxlen=k + 1)
     for _ in range(n - k):
         window.append(q * window[-1] - (q - 1) * window[0])
-    return window[min(n, k)]
+    return window[-1]
 
 
 def f_poly(k: int, q: int, x):

@@ -224,13 +224,13 @@ def find_violation(code: Code) -> Optional[tuple[Word, Word, tuple[int, ...]]]:
     return owner, other, owner.symbols[:length]
 
 
-def find_expansion(code: Code, cap: int = NONEXPANDABLE_CAP) -> Optional[Word]:
+def find_expansion(code: Code) -> Optional[Word]:
     """Brute force over all q**n words: the first word (lexicographically)
     whose addition keeps the code cross-bifix-free, or None.  Candidates
     are scanned in ascending chunks of int64 values, exact under the cap."""
     n, q = code.n, code.q
-    if q**n > cap:
-        raise CapacityError(f"q**n = {q**n} exceeds cap {cap}")
+    if q**n > NONEXPANDABLE_CAP:
+        raise CapacityError(f"q**n = {q**n} exceeds cap {NONEXPANDABLE_CAP}")
     if not verify_code(code):
         raise ValueError("code is not cross-bifix-free")
     members = np.array(code.values, dtype=np.int64)
@@ -250,10 +250,11 @@ def find_expansion(code: Code, cap: int = NONEXPANDABLE_CAP) -> Optional[Word]:
     return None
 
 
-def is_nonexpandable(code: Code, cap: int = NONEXPANDABLE_CAP) -> bool:
+def is_nonexpandable(code: Code) -> bool:
     """True iff no word of Z_q^n outside the code can be added while
-    keeping the code cross-bifix-free."""
-    return find_expansion(code, cap=cap) is None
+    keeping the code cross-bifix-free; CapacityError past
+    NONEXPANDABLE_CAP."""
+    return find_expansion(code) is None
 
 
 # ---------------------------------------------------------------------------

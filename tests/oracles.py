@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 
-from xbifix.construction import DEFAULT_ENUM_CAP, validate_params
+from xbifix.construction import ENUM_CAP, validate_params
 from xbifix.words import CapacityError, Code, Word
 
 
@@ -91,7 +91,7 @@ def all_words(n: int, q: int):
         yield Word(t, q)
 
 
-def generate_recursive(n: int, k: int, q: int, cap: int = DEFAULT_ENUM_CAP) -> Code:
+def generate_recursive(n: int, k: int, q: int, cap: int = ENUM_CAP) -> Code:
     """The zero-run code S_{k,q}(n) via its recursive decomposition, an
     oracle for construction.generate_direct.
 

@@ -128,7 +128,8 @@ class TestProbe:
         from xbifix.words import CapacityError
 
         with pytest.raises(CapacityError):
-            asymptotic_probe(2, [30], n_cap=10_000)
+            # n(18) = 524,270, past PROBE_N_CAP = 200,000
+            asymptotic_probe(2, [18])
 
 
 class TestReport:

@@ -275,6 +275,15 @@ class TestSimVerify:
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("usage: line 3: ")
 
+    def test_verify_too_large_to_scan(self, runner, tmp_path):
+        path = tmp_path / "c25.txt"
+        write_code(generate_direct(25, 20, 2), path)
+        result = runner.invoke(main, ["verify", str(path)])
+        assert result.exit_code == 0
+        assert result.output == (
+            "cross-bifix-free: yes; nonexpandable: not checked (instance too large)\n"
+        )
+
 
 class TestErrors:
     @pytest.mark.parametrize(
@@ -287,6 +296,8 @@ class TestErrors:
             (["clique", "--n", "6", "--budget", "0"], 2),
             (["clique", "--n", "4", "--q", "1"], 2),
             (["clique", "--n", "0"], 2),
+            (["clique", "--q", "3", "--n", "9"], 2),
+            (["table", "--q", "4", "--n-max", "8", "--clique-upto", "8"], 2),
             (["gen", "--n", "30", "--k", "2"], 3),
         ],
         ids=lambda a: " ".join(a) if isinstance(a, list) else f"exit-{a}",

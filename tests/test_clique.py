@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from xbifix.clique import build_graph, certify_optimal_row, max_clique
+from xbifix.clique import build_graph, max_clique
 from xbifix.construction import best_size
 from xbifix.words import CapacityError, Word, cross_pair_ok, is_bifix_free, verify_code
 
@@ -56,8 +56,11 @@ class TestBuildGraph:
         assert keys == sorted(keys)
 
     def test_capacity_guard(self):
-        with pytest.raises(CapacityError):
-            build_graph(10, 2, cap=50)
+        # n=19: 140,680 bifix-free words, past VERTEX_CAP = 2**16;
+        # n=20: q**n itself is past 8 * VERTEX_CAP
+        for n in (19, 20):
+            with pytest.raises(CapacityError):
+                build_graph(n, 2)
 
     @pytest.mark.parametrize("n,q", [(0, 2), (4, 1)])
     def test_invalid_parameters(self, n, q):
@@ -121,21 +124,17 @@ class TestMaxClique:
 
 
 class TestCertifyRow:
+    # C(n,2) from the exact search against the construction's S(n,2)
     def test_matching_row(self):
-        row = certify_optimal_row(8, 2)
-        assert (row.clique_size, row.matches_construction) == (8, True)
+        assert max_clique(build_graph(8, 2)).size == best_size(8, 2).size == 8
 
     def test_exceptional_row(self):
-        row = certify_optimal_row(9, 2)
-        assert row.clique_size == 14
-        assert row.construction_size == 13
-        assert not row.matches_construction
+        assert max_clique(build_graph(9, 2)).size == 14
+        assert best_size(9, 2).size == 13
 
     def test_row_11(self):
-        row = certify_optimal_row(11, 2)
-        assert (row.clique_size, row.matches_construction) == (44, True)
+        assert max_clique(build_graph(11, 2)).size == best_size(11, 2).size == 44
 
     def test_clique_at_least_construction(self):
         for n in range(4, 11):
-            row = certify_optimal_row(n, 2)
-            assert row.clique_size >= best_size(n, 2).size
+            assert max_clique(build_graph(n, 2)).size >= best_size(n, 2).size

@@ -52,8 +52,9 @@ class TestGenerateDirect:
             generate_direct(5, 1, 2)
 
     def test_capacity_guard(self):
+        # q**(n-k-2) = 2**26 interior windows, past ENUM_CAP = 2**20
         with pytest.raises(CapacityError):
-            generate_direct(40, 2, 2, cap=2**10)
+            generate_direct(30, 2, 2)
 
 
 class TestGeneratorEquivalence:

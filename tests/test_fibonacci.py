@@ -52,12 +52,29 @@ class TestRecurrence:
         for k, q, n in cases:
             assert fib(k, q, n) == naive_fib(k, q, n), (k, q, n)
 
+    def test_small_n_matches_definition(self):
+        # the powers q**n below k, F(k) = q**k - 1, and the first steps
+        for k in range(2, 13):
+            for q in range(2, 6):
+                for n in range(k + 3):
+                    assert fib(k, q, n) == naive_fib(k, q, n), (k, q, n)
+
     def test_memory_is_a_window(self):
         # the window holds k+1 = 11 values no larger than the result;
         # keeping the whole sequence would take thousands of times its size
         tracemalloc.start()
         try:
             value = fib(10, 3, 5000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * sys.getsizeof(value)
+
+    def test_memory_below_k(self):
+        # n < k is q**n itself; no window of k powers is built
+        tracemalloc.start()
+        try:
+            value = fib(2000, 2, 5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

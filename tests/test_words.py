@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xbifix.construction import generate_direct
 from xbifix.words import (
+    CapacityError,
     Code,
     CodeFormatError,
     Word,
@@ -270,6 +272,15 @@ class TestNonexpandable:
             if not verify_code(code):
                 continue
             assert is_nonexpandable(code) == naive_is_nonexpandable(code)
+
+    def test_capacity_guard(self):
+        # 8 words, but q**n = 2**25 candidates, past NONEXPANDABLE_CAP = 2**24
+        code = generate_direct(25, 20, 2)
+        assert len(code) == 8
+        with pytest.raises(CapacityError):
+            find_expansion(code)
+        with pytest.raises(CapacityError):
+            is_nonexpandable(code)
 
 
 class TestFileFormat:
