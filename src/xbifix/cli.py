@@ -314,7 +314,8 @@ def clique(n, q, budget, long_run, witness_out):
         _write_manifest(
             witness_out,
             "clique",
-            {"n": n, "q": q, "budget": budget, "optimal": result.optimal},
+            {"n": n, "q": q, "budget": budget, "optimal": result.optimal,
+             "nodes_explored": result.nodes_explored, "wall_time": result.wall_time},
         )
     if not result.optimal:
         raise SystemExit(EXIT_CAPACITY)

@@ -4,8 +4,10 @@ bifix-free words, giving the true maximum code size for small lengths.
 Vertices are the bifix-free words of length n, as base-q values in
 descending-degree order; an edge joins two words that are mutually
 cross-bifix-free.  The solver is a branch-and-bound with greedy-coloring
-upper bounds over bitset candidate sets.  From n = 4 on it is seeded with
-the constructed code as the initial incumbent; below that it starts empty.
+upper bounds over bitset candidate sets, seeded from n = 4 on with the
+constructed code.  Reversal and symbol permutations map the graph onto
+itself, so the root branches on one word per orbit (orbital branching):
+a word tried there takes its whole orbit out of the root's candidates.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ class CompatGraph:
     q: int
     vertices: tuple[int, ...]
     adjacency: tuple[int, ...]
+    orbits: tuple[int, ...]  # per vertex, its orbit under reversal x S_q as a bitset
 
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.adjacency) // 2
@@ -59,6 +62,24 @@ def _compatible(words: np.ndarray, n: int, q: int) -> Iterator[np.ndarray]:
         yield ok
 
 
+def _orbits(words: np.ndarray, n: int, q: int) -> tuple[int, ...]:
+    """Per word, its orbit under reversal x S_q as a bitset over positions in words.
+    Words share an orbit when they share a key: the smaller base-q value of the word
+    and of its reverse, each with its symbols renamed 0, 1, ... in order of first use."""
+    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    both = np.concatenate([words[:, None] // powers % q, words[:, None] // powers[::-1] % q])
+    first = np.full((len(both), q), n)  # each symbol's first position, n if unused
+    for j in range(n - 1, -1, -1):
+        first[np.arange(len(both)), both[:, j]] = j
+    rank = np.argsort(np.argsort(first, axis=1, kind="stable"), axis=1, kind="stable")
+    key = np.take_along_axis(rank, both, axis=1) @ powers
+    keys = np.minimum(key[: len(words)], key[len(words) :]).tolist()
+    bits: dict[int, int] = {}
+    for i, k in enumerate(keys):
+        bits[k] = bits.get(k, 0) | 1 << i
+    return tuple(bits[k] for k in keys)
+
+
 def build_graph(n: int, q: int) -> CompatGraph:
     """All bifix-free words of length n over Z_q, as base-q values (see
     xbifix.words), joined when mutually cross-bifix-free; no self-loops
@@ -80,7 +101,7 @@ def build_graph(n: int, q: int) -> CompatGraph:
         # row i as an int whose bit j is the edge to vertex j
         packed = np.packbits(ok, axis=1, bitorder="little")
         adjacency.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
-    return CompatGraph(n=n, q=q, vertices=tuple(words.tolist()), adjacency=tuple(adjacency))
+    return CompatGraph(n, q, tuple(words.tolist()), tuple(adjacency), _orbits(words, n, q))
 
 
 def _seed_clique(graph: CompatGraph) -> list[int]:
@@ -100,11 +121,11 @@ def max_clique(graph: CompatGraph, time_budget: float | None = None) -> CliqueRe
     on budget exhaustion the best clique found so far is returned with
     optimal=False, a lower bound only.
     """
-    if time_budget is not None and time_budget <= 0:
+    if time_budget is not None and not time_budget > 0:
         raise ValueError("time_budget must be positive")
     start = time.monotonic()
     deadline = None if time_budget is None else start + time_budget
-    adj = graph.adjacency
+    adj, orbits = graph.adjacency, graph.orbits
     best = _seed_clique(graph)
     nodes = 0
     out_of_budget = False
@@ -140,6 +161,8 @@ def max_clique(graph: CompatGraph, time_budget: float | None = None) -> CliqueRe
             if len(clique) + colors[i] <= len(best):
                 return
             v = colored[i]
+            if not candidates >> v & 1:
+                continue  # at the root, in the orbit of a word already tried
             clique.append(v)
             rest = candidates & adj[v]
             if rest:
@@ -147,7 +170,8 @@ def max_clique(graph: CompatGraph, time_budget: float | None = None) -> CliqueRe
             elif len(clique) > len(best):
                 best = clique.copy()
             clique.pop()
-            candidates &= ~(1 << v)
+            # the root's candidates stay a union of orbits, deeper ones need not
+            candidates &= ~(1 << v if clique else orbits[v])
             if out_of_budget:
                 return
 

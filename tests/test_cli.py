@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from xbifix.cli import main
+from xbifix.clique import build_graph, max_clique
 from xbifix.construction import generate_direct
 from xbifix.fibonacci import fib
 from xbifix.words import format_code, parse_code, write_code
@@ -166,6 +167,16 @@ class TestClique:
         assert result.exit_code == 0
         assert len(parse_code(out.read_text())) == 5
 
+    def test_witness_manifest_records_the_search(self, runner, tmp_path):
+        out = tmp_path / "witness.txt"
+        result = runner.invoke(main, ["clique", "--n", "9", "--witness-out", str(out)])
+        assert result.exit_code == 0
+        manifest = json.loads((tmp_path / "witness.txt.manifest.json").read_text())
+        parameters = manifest["parameters"]
+        assert parameters["nodes_explored"] == max_clique(build_graph(9, 2)).nodes_explored
+        assert f"{parameters['nodes_explored']} nodes, {parameters['wall_time']:.2f}s]" in result.output
+        assert parameters["wall_time"] >= 0
+
     def test_long_gate(self, runner):
         result = runner.invoke(main, ["clique", "--n", "15"])
         assert result.exit_code == 2
@@ -294,6 +305,7 @@ class TestErrors:
             (["probe", "--k-max", "5", "--c", "-1"], 2),
             (["probe", "--q", "1", "--k-max", "5"], 2),
             (["clique", "--n", "6", "--budget", "0"], 2),
+            (["clique", "--n", "11", "--budget", "nan"], 2),
             (["clique", "--n", "4", "--q", "1"], 2),
             (["clique", "--n", "0"], 2),
             (["clique", "--q", "3", "--n", "9"], 2),

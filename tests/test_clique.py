@@ -1,5 +1,8 @@
+import functools
 import itertools
+import operator
 
+import numpy as np
 import pytest
 
 from xbifix.clique import build_graph, max_clique
@@ -10,6 +13,8 @@ from oracles import all_words, naive_cross_pair_ok
 
 # published exact optima for the binary alphabet (bold table entries)
 OPTIMAL = {3: 1, 4: 1, 5: 2, 6: 3, 7: 5, 8: 8, 9: 14, 10: 24, 11: 44, 12: 81}
+# exact optima for q = 3 and 4, as the search certifies them
+OPTIMAL_Q = {3: {3: 4, 4: 8, 5: 17, 6: 41, 7: 99}, 4: {3: 9, 4: 27, 5: 81}}
 
 
 def brute_force_max_clique(n, q):
@@ -28,6 +33,35 @@ def brute_force_max_clique(n, q):
 
     extend([], words)
     return best
+
+
+def generators(q):
+    """Reversal, the symbol swap (0 1) and the symbol cycle (0 1 ... q-1),
+    as maps on symbol tuples; together they generate reversal x S_q."""
+    swap = (1, 0) + tuple(range(2, q))
+    return {
+        "reversal": lambda w: w[::-1],
+        "swap": lambda w: tuple(swap[s] for s in w),
+        "cycle": lambda w: tuple((s + 1) % q for s in w),
+    }
+
+
+def vertex_map(graph, f):
+    """The vertex permutation that f induces; KeyError if f leaves the vertices."""
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    return [
+        index[Word(f(Word.from_value(v, graph.n, graph.q).symbols), graph.q).to_value()]
+        for v in graph.vertices
+    ]
+
+
+def dense(graph):
+    """The adjacency bitsets as a boolean matrix."""
+    size = len(graph.vertices)
+    width = (size + 7) // 8
+    raw = b"".join(a.to_bytes(width, "little") for a in graph.adjacency)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(size, width)
+    return np.unpackbits(rows, axis=1, bitorder="little")[:, :size].astype(bool)
 
 
 class TestBuildGraph:
@@ -68,6 +102,50 @@ class TestBuildGraph:
             build_graph(n, q)
 
 
+class TestOrbits:
+    @pytest.mark.parametrize("n,q", [(3, 2), (8, 2), (5, 3), (4, 4), (3, 16)])
+    def test_partition(self, n, q):
+        g = build_graph(n, q)
+        assert all(orbit >> i & 1 for i, orbit in enumerate(g.orbits))
+        distinct = set(g.orbits)
+        for orbit in distinct:
+            assert all(g.orbits[j] == orbit for j in range(len(g.vertices)) if orbit >> j & 1)
+        # disjoint bitsets that together cover every vertex
+        assert sum(o.bit_count() for o in distinct) == len(g.vertices)
+        assert functools.reduce(operator.or_, distinct) == (1 << len(g.vertices)) - 1
+
+    @pytest.mark.parametrize("n,q", [(8, 2), (5, 3), (4, 4), (3, 16)])
+    def test_generators_are_automorphisms(self, n, q):
+        g = build_graph(n, q)
+        adjacency = dense(g)
+        for name, f in generators(q).items():
+            perm = vertex_map(g, f)
+            assert sorted(perm) == list(range(len(perm))), name
+            assert all(g.orbits[i] >> j & 1 for i, j in enumerate(perm)), name
+            assert (adjacency[np.ix_(perm, perm)] == adjacency).all(), name
+
+    @pytest.mark.parametrize("n,q", [(8, 2), (5, 3), (4, 4), (3, 16)])
+    def test_orbits_are_generated(self, n, q):
+        # no coarser than the group: each orbit is what the generators reach
+        g = build_graph(n, q)
+        maps = [vertex_map(g, f) for f in generators(q).values()]
+        reached = [0] * len(g.vertices)
+        for i in range(len(g.vertices)):
+            if reached[i]:
+                continue
+            seen, todo = {i}, [i]
+            while todo:
+                u = todo.pop()
+                for j in (m[u] for m in maps):
+                    if j not in seen:
+                        seen.add(j)
+                        todo.append(j)
+            orbit = sum(1 << j for j in seen)
+            for j in seen:
+                reached[j] = orbit
+        assert tuple(reached) == g.orbits
+
+
 class TestMaxClique:
     def test_witness_reverified(self, monkeypatch):
         # the explicit check survives python -O, unlike an assert
@@ -82,6 +160,34 @@ class TestMaxClique:
         assert result.size == OPTIMAL[n]
         assert verify_code(result.witness)
         assert len(result.witness) == result.size
+
+    @pytest.mark.parametrize(
+        "q,n", [(q, n) for q, row in OPTIMAL_Q.items() for n in row]
+    )
+    def test_known_optima_nonbinary(self, q, n):
+        result = max_clique(build_graph(n, q))
+        assert result.optimal
+        assert result.size == len(result.witness) == OPTIMAL_Q[q][n]
+        assert verify_code(result.witness)
+
+    @pytest.mark.parametrize(
+        "q,n", [(2, n) for n in range(3, 11)] + [(3, n) for n in range(3, 7)] + [(4, 3), (4, 4)]
+    )
+    def test_networkx_agreement(self, q, n):
+        nx = pytest.importorskip("networkx")
+        g = build_graph(n, q)
+        graph = nx.Graph()
+        graph.add_nodes_from(range(len(g.vertices)))
+        graph.add_edges_from(
+            (i, j) for i, a in enumerate(g.adjacency) for j in range(i) if a >> j & 1
+        )
+        _, size = nx.max_weight_clique(graph, weight=None)
+        assert max_clique(g).size == size
+
+    @pytest.mark.parametrize("budget", [0, -1.0, float("nan")])
+    def test_budget_must_be_positive(self, budget):
+        with pytest.raises(ValueError):
+            max_clique(build_graph(4, 2), time_budget=budget)
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_brute_force_agreement(self, n):
