@@ -94,13 +94,23 @@ def build_graph(n: int, q: int) -> CompatGraph:
         words = words[words // q ** (n - length) != words % q**length]
     if len(words) > VERTEX_CAP:
         raise CapacityError(f"{len(words)} vertices exceed cap {VERTEX_CAP}")
-    degree = np.concatenate([ok.sum(axis=1) for ok in _compatible(words, n, q)])
-    words = words[np.argsort(-degree, kind="stable")]
-    adjacency: list[int] = []
+    degree, packed = [], []
     for ok in _compatible(words, n, q):
+        degree.append(ok.sum(axis=1))
+        packed.append(np.packbits(ok, axis=1, bitorder="little"))
+    order = np.argsort(-np.concatenate(degree), kind="stable")
+    packed = np.concatenate(packed)  # value order, one bit per pair; frees the blocks
+    adjacency: list[int] = []
+    for start in range(0, len(words), _ROW_BLOCK):
+        # rows, then columns, of the value-order matrix in search order;
+        # np.take keeps the block C-contiguous, which packbits needs to be fast
+        block = packed[order[start : start + _ROW_BLOCK]]
+        ok = np.unpackbits(block, axis=1, count=len(words), bitorder="little")
+        ok = np.take(ok, order, axis=1)
         # row i as an int whose bit j is the edge to vertex j
-        packed = np.packbits(ok, axis=1, bitorder="little")
-        adjacency.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+        block = np.packbits(ok, axis=1, bitorder="little")
+        adjacency.extend(int.from_bytes(row.tobytes(), "little") for row in block)
+    words = words[order]
     return CompatGraph(n, q, tuple(words.tolist()), tuple(adjacency), _orbits(words, n, q))
 
 

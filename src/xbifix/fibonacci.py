@@ -8,8 +8,9 @@ F(n) = (q-1) * (F(n-1) + ... + F(n-k)), initialized F(i) = q**i for
 
 in the interval (1, q); all other roots lie inside the unit disk.  The
 auxiliary polynomial g(x) = (x-1)*f(x) = x**k * (x - q) + (q-1) is
-negative on (1, alpha) and positive on (alpha, infinity), which makes it
-the bisection target of choice.
+negative on (1, alpha) and positive on (alpha, infinity), so the sign of
+g, evaluated in interval arithmetic, certifies a bracket around alpha;
+its compact form is also the cheap target for Newton's method.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import mpmath
 from mpmath import mp
 
 DEFAULT_PRECISION_BITS = 128
+_NEWTON_STEPS = 64  # find_alpha needs about log2(precision_bits) steps, 17 up to 2**16 bits
 
 
 class PrecisionError(Exception):
@@ -74,29 +76,39 @@ class RootEstimate:
 
 @lru_cache(maxsize=4096)
 def find_alpha(k: int, q: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootEstimate:
-    """Bisection for the unique root of g in (1, q).
+    """Newton's method for the unique root of g in (1, q), with a bracket
+    certified in interval arithmetic.
 
-    The starting bracket is sound because g < 0 just above 1 (g(1) = 0
-    with negative slope there, equivalently f(1) = 1 - k(q-1) < 0) and
-    g(q) = q - 1 > 0.
+    g has its minimum at kq/(k+1) < alpha and is convex beyond
+    q(k-1)/(k+1), so the iterates from q fall monotonically to alpha,
+    quadratically.  The bracket around the last iterate lies in
+    [1 + 2**-precision_bits, q], is at most 2**-precision_bits * q wide,
+    and is widened within that bound until g(lo) < 0 < g(hi) holds in
+    interval arithmetic; PrecisionError if it never does.
     """
     _check_kq(k, q)
     if precision_bits < 53:
         raise ValueError("precision_bits must be >= 53")
-    with mp.workprec(precision_bits + 16):
-        lo = mp.mpf(1) + mp.mpf(2) ** (-precision_bits)
-        hi = mp.mpf(q)
-        if not (g_poly(k, q, lo) < 0 < g_poly(k, q, hi)):
-            raise PrecisionError(f"g has no sign change on [lo, q] for k={k}, q={q}")
-        target = mp.mpf(2) ** (-precision_bits) * q
-        while hi - lo > target:
-            mid = (lo + hi) / 2
-            if g_poly(k, q, mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        alpha = (lo + hi) / 2
-    return RootEstimate(alpha=alpha, lo=lo, hi=hi, precision_bits=precision_bits)
+    bits = precision_bits + 16
+    with mp.workprec(bits):
+        floor = mp.mpf(1) + mp.mpf(2) ** (-precision_bits)
+        width = mp.mpf(2) ** (-precision_bits) * q
+        x = mp.mpf(q)
+        for _ in range(_NEWTON_STEPS):
+            step = g_poly(k, q, x) / (x ** (k - 1) * ((k + 1) * x - k * q))
+            x -= step
+            if abs(step) < width:
+                break
+        old_prec, mpmath.iv.prec = mpmath.iv.prec, bits
+        try:
+            for offset in (width / 16, width / 8, width / 4, width / 2):
+                lo, hi = max(x - offset, floor), min(x + offset, mp.mpf(q))
+                if g_poly(k, q, mpmath.iv.mpf(lo)).b < 0 < g_poly(k, q, mpmath.iv.mpf(hi)).a:
+                    alpha = (lo + hi) / 2
+                    return RootEstimate(alpha=alpha, lo=lo, hi=hi, precision_bits=precision_bits)
+        finally:
+            mpmath.iv.prec = old_prec
+    raise PrecisionError(f"no certified bracket for k={k}, q={q} at {precision_bits} bits")
 
 
 def kq_threshold(q: int) -> int:

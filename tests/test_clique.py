@@ -5,6 +5,7 @@ import operator
 import numpy as np
 import pytest
 
+from xbifix import clique
 from xbifix.clique import build_graph, max_clique
 from xbifix.construction import best_size
 from xbifix.words import CapacityError, Word, cross_pair_ok, is_bifix_free, verify_code
@@ -81,6 +82,18 @@ class TestBuildGraph:
                     assert not edge
                 else:
                     assert edge == cross_pair_ok(Word.from_value(u, 5, 2), Word.from_value(v, 5, 2))
+
+    @pytest.mark.parametrize("n,q", [(12, 2), (7, 3), (5, 4)])
+    def test_one_compatibility_pass(self, n, q, monkeypatch):
+        # degrees and bitsets come from one pass in value order, permuted
+        # block by block; the result must be the matrix of the search order
+        compatible, calls = clique._compatible, []
+        monkeypatch.setattr(clique, "_compatible", lambda *a: calls.append(a) or compatible(*a))
+        g = build_graph(n, q)
+        assert len(calls) == 1
+        direct = np.concatenate(list(compatible(np.array(g.vertices), n, q)))
+        assert len(g.vertices) > 2 * clique._ROW_BLOCK
+        assert (dense(g) == direct).all()
 
     @pytest.mark.parametrize("n,q", [(8, 2), (5, 3)])
     def test_search_order(self, n, q):

@@ -7,7 +7,9 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from xbifix import fibonacci
 from xbifix.fibonacci import (
+    PrecisionError,
     beta_bracket,
     f_poly,
     fib,
@@ -21,6 +23,17 @@ from xbifix.fibonacci import (
 from oracles import naive_fib
 
 LARGE_N = [(3, 2, 3000), (10, 3, 2000), (3, 2, 40)]
+
+
+def assert_enclosure(k, q, est):
+    """g(lo) < 0 < g(hi) in interval arithmetic, at twice the bracket's
+    precision: g changes sign exactly at alpha, so lo < alpha < hi."""
+    old, mpmath.iv.prec = mpmath.iv.prec, 2 * est.precision_bits + 64
+    try:
+        assert g_poly(k, q, mpmath.iv.mpf(est.lo)).b < 0, (k, q)
+        assert g_poly(k, q, mpmath.iv.mpf(est.hi)).a > 0, (k, q)
+    finally:
+        mpmath.iv.prec = old
 
 
 class TestRecurrence:
@@ -132,12 +145,41 @@ class TestFindAlpha:
 
     def test_interval_sweep(self):
         for q in (2, 3, 5, 16):
-            for k in range(2, 65, 7):
+            for k in range(2, 65):
                 # q - alpha shrinks like q**(-k), so the bracket needs
                 # precision beyond k*log2(q) to separate hi from q
                 bits = max(128, 4 * k * q.bit_length() + 64)
                 est = find_alpha(k, q, bits)
                 assert 1 < est.lo and est.hi < q
+                assert_enclosure(k, q, est)
+
+    @pytest.mark.parametrize("k,q,bits", [(64, 16, 128), (80, 2, 53), (40, 5, 53)])
+    def test_alpha_rounds_to_q(self, k, q, bits):
+        # q - alpha is below the working precision's resolution at q: the
+        # bracket may end at q but must still enclose alpha, or refuse
+        with mp.workprec(bits + 16):
+            assert mp.mpf(q) - (q - 1) * mp.mpf(q) ** -k == q
+        try:
+            est = find_alpha(k, q, bits)
+        except PrecisionError:
+            return
+        exact = find_alpha(k, q, 4 * k * q.bit_length() + 64)
+        assert 1 < est.lo < exact.lo and exact.hi < est.hi <= q
+        assert_enclosure(k, q, est)
+
+    def test_high_precision(self):
+        est = find_alpha(40, 5, 8192)
+        with mp.workprec(8192 + 16):
+            assert 1 < est.lo < est.alpha < est.hi < 5
+            assert est.hi - est.lo <= mp.mpf(2) ** -8192 * 5
+        assert_enclosure(40, 5, est)
+
+    def test_uncertified_bracket_raises(self, monkeypatch):
+        # one Newton step from q leaves x far above alpha; the interval
+        # check must refuse that bracket rather than return it
+        monkeypatch.setattr(fibonacci, "_NEWTON_STEPS", 1)
+        with pytest.raises(PrecisionError):
+            find_alpha.__wrapped__(2, 2, 128)
 
     def test_sign_pattern_of_g(self):
         for k, q in [(2, 2), (4, 3), (7, 2)]:
