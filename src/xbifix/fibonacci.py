@@ -6,7 +6,9 @@ F(n) = (q-1) * (F(n-1) + ... + F(n-k)), initialized F(i) = q**i for
 
     f(x) = x**k - (q-1) * (x**(k-1) + ... + x + 1)
 
-in the interval (1, q); all other roots lie inside the unit disk.  The
+in the interval (1, q); all other roots lie inside the unit disk.  Since
+f is the recurrence's characteristic polynomial, x**n mod f(x) gives F(n)
+as a combination of the first k values, which long lengths use.  The
 auxiliary polynomial g(x) = (x-1)*f(x) = x**k * (x - q) + (q-1) is
 negative on (1, alpha) and positive on (alpha, infinity), so the sign of
 g, evaluated in interval arithmetic, certifies a bracket around alpha;
@@ -15,10 +17,12 @@ its compact form is also the cheap target for Newton's method.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import mpmath
 from mpmath import mp
@@ -31,24 +35,58 @@ class PrecisionError(Exception):
     """Working precision could not certify the rounding step."""
 
 
-def _check_kq(k: int, q: int) -> None:
+def _check_kq(k: int, q: int, n: int = 0) -> None:
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
 
 
 def fib(k: int, q: int, n: int) -> int:
-    """Exact F_{k,q}(n) by F(m+1) = q*F(m) - (q-1)*F(m-k), in a window of k+1 values."""
-    _check_kq(k, q)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    """Exact F_{k,q}(n) in O(k) live integers: q**n below k, else a window
+    of k+1 values stepping F(m+1) = q*F(m) - (q-1)*F(m-k) in O(n) big-int
+    operations, until doubling in O(k**2 log n) products is faster.  That
+    takes n beyond 10*k*log2(n), the interpreter's work on its log2(n)
+    squares, and beyond k**4 / 10, the products of wide coefficients."""
+    _check_kq(k, q, n)
     if n < k:
         return q**n
+    if max(10 * k * n.bit_length(), k**4 // 10) < n:
+        return _fib_by_doubling(k, q, n)
     window = deque([q**i for i in range(k)] + [q**k - 1], maxlen=k + 1)
     for _ in range(n - k):
         window.append(q * window[-1] - (q - 1) * window[0])
     return window[-1]
+
+
+def _fib_by_doubling(k: int, q: int, n: int) -> int:
+    """Fiduccia, SIAM J. Comput. 14 (1985): x**n = sum(c_i * x**i) mod f(x)
+    by square-and-multiply, so F(n) = sum(c_i * q**i).  Each square takes
+    about k*k/2 products of symmetric pairs, top degree first; degree
+    d >= k folds back through x**k = (q-1)*(x**(k-1) + ... + 1), so each
+    degree gains q-1 times the running sum of those at most k above it.
+    Every coefficient stays a nonnegative int."""
+    shift = n.bit_length() - k.bit_length() + 1  # n >> shift < k: x**(n >> shift) is reduced
+    a = [0] * k
+    a[n >> shift] = 1
+    for bit in reversed(range(shift)):
+        sq = [0] * (2 * k - 1)
+        folding = 0  # sum of sq[d+1 .. d+k] over the degrees >= k
+        for d in reversed(range(2 * k - 1)):
+            if d < k - 2:
+                folding -= sq.pop()  # sq[d+k+1] leaves the running sum
+            lo, mid = max(0, d - k + 1), (d + 1) // 2
+            pairs = 2 * sum(map(mul, a[lo:mid], a[d - lo : d - mid : -1]))
+            sq[d] = pairs + (0 if d % 2 else a[d // 2] ** 2) + (q - 1) * folding
+            if d >= k:
+                folding += sq[d]
+        a = sq[:k]
+        if n >> bit & 1:  # times x, folding x**k back
+            top = (q - 1) * a[-1]
+            a = [top] + [c + top for c in a[:-1]]
+    return sum(c * q**i for i, c in enumerate(a))
 
 
 def f_poly(k: int, q: int, x):
@@ -158,12 +196,6 @@ def beta_bracket(k: int, q: int, precision_bits: int = DEFAULT_PRECISION_BITS):
     raise PrecisionError(f"beta bracket for k={k}, q={q} did not certify")
 
 
-def _alpha_interval(k: int, q: int, precision_bits: int):
-    """alpha(k, q) as an mpmath interval enclosing the true root."""
-    est = find_alpha(k, q, precision_bits)
-    return mpmath.iv.mpf([est.lo, est.hi])
-
-
 def fib_closed_form(
     k: int, q: int, n: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> int:
@@ -171,34 +203,31 @@ def fib_closed_form(
 
         (alpha - 1) * alpha**(n+1) / ((q + (k+1)*(alpha - q)) * (q - 1))
 
-    evaluated in interval arithmetic.  The rounding is certified: the
-    enclosing interval must lie strictly within (m - 1/2, m + 1/2) for a
-    single integer m, otherwise precision is escalated.  Raises
-    PrecisionError if certification still fails at 64x the requested
-    precision.
+    in interval arithmetic on find_alpha's bracket, from the smallest
+    precision_bits * 2**j bits above n*log2(q) + log2(n) + 32, enough for
+    F(n) <= q**n to its units (powers of two, so find_alpha's cache hits
+    across n).  The rounding is certified: the interval must lie strictly
+    within (m - 1/2, m + 1/2) for one integer m, or the bits double.
+    PrecisionError if that still fails at 64x the first pass's bits.
     """
-    _check_kq(k, q)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_kq(k, q, n)
     bits = precision_bits
-    while bits <= precision_bits * 64:
+    while bits < n * math.log2(q) + n.bit_length() + 32:
+        bits *= 2
+    last = bits * 64
+    while bits <= last:
         old_prec = mpmath.iv.prec
         try:
             mpmath.iv.prec = bits + 16
-            a = _alpha_interval(k, q, bits)
-            numer = (a - 1) * a ** (n + 1)
-            denom = (q + (k + 1) * (a - q)) * (q - 1)
-            value = numer / denom
+            est = find_alpha(k, q, bits)
+            a = mpmath.iv.mpf([est.lo, est.hi])
+            value = (a - 1) * a ** (n + 1) / ((q + (k + 1) * (a - q)) * (q - 1))
             with mp.workprec(bits + 16):
-                lo_end = mp.mpf(value.a)
-                hi_end = mp.mpf(value.b)
-                lo_n = mpmath.floor(lo_end + mp.mpf("0.5"))
-                hi_n = mpmath.floor(hi_end + mp.mpf("0.5"))
-                if lo_n == hi_n:
-                    m = int(lo_n)
-                    # 0.5 is exact in binary; strict containment certifies [x]
-                    if lo_end > m - mp.mpf("0.5") and hi_end < m + mp.mpf("0.5"):
-                        return m
+                lo_end, hi_end = mp.mpf(value.a), mp.mpf(value.b)
+                m = int(mpmath.floor(lo_end + mp.mpf("0.5")))
+                # 0.5 is exact in binary; strict containment certifies [x]
+                if lo_end > m - mp.mpf("0.5") and hi_end < m + mp.mpf("0.5"):
+                    return m
         finally:
             mpmath.iv.prec = old_prec
         bits *= 2
@@ -215,15 +244,6 @@ def other_roots_inside_unit_disk(k: int, q: int, tol: float = 1e-8) -> bool:
     _check_kq(k, q)
     if k > 64:
         raise ValueError(f"k={k} beyond the numeric root-finder range (64)")
-    coeffs = [1.0] + [-(q - 1.0)] * k
-    roots = np.roots(coeffs)
-    if len(roots) != k:
-        return False
-    outside = int(np.sum(np.abs(roots) > 1.0))
-    if outside != 1:
-        return False
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(roots[i] - roots[j]) <= tol:
-                return False
-    return True
+    roots = np.roots([1.0] + [-(q - 1.0)] * k)
+    gaps = np.abs(np.subtract.outer(roots, roots))[np.triu_indices(len(roots), 1)]
+    return len(roots) == k and int(np.sum(np.abs(roots) > 1.0)) == 1 and bool(np.all(gaps > tol))

@@ -77,13 +77,27 @@ def exact_pmf(n: int, q: int, M: int, t_max: int) -> list[float]:
     return pmf
 
 
-def naive_fib(k: int, q: int, n: int) -> int:
-    """F_{k,q}(n) from the definition: the full list of values, each the
-    (q-1)-weighted sum of the k values before it."""
+def naive_fib_list(k: int, q: int, length: int) -> list[int]:
+    """F_{k,q}(0), ..., F_{k,q}(length - 1) from the definition: each value
+    the (q-1)-weighted sum of the k values before it."""
     values = [q**i for i in range(k)]
-    while len(values) <= n:
+    while len(values) < length:
         values.append((q - 1) * sum(values[-k:]))
-    return values[n]
+    return values[:length]
+
+
+def naive_fib(k: int, q: int, n: int) -> int:
+    return naive_fib_list(k, q, n + 1)[n]
+
+
+def naive_fib_mod(k: int, q: int, n: int, p: int) -> int:
+    """F_{k,q}(n) mod p from the definition, stepped on residues: no big
+    integers, so it checks long lengths cheaply and shares no step with
+    either exact path of fib."""
+    values = [pow(q, i, p) for i in range(k)]
+    for _ in range(n - k + 1):
+        values = values[1:] + [(q - 1) * sum(values) % p]
+    return values[min(n, k - 1)]
 
 
 def all_words(n: int, q: int):

@@ -20,7 +20,7 @@ from xbifix.fibonacci import (
     other_roots_inside_unit_disk,
 )
 
-from oracles import naive_fib
+from oracles import naive_fib, naive_fib_list, naive_fib_mod
 
 LARGE_N = [(3, 2, 3000), (10, 3, 2000), (3, 2, 40)]
 
@@ -72,9 +72,36 @@ class TestRecurrence:
                 for n in range(k + 3):
                     assert fib(k, q, n) == naive_fib(k, q, n), (k, q, n)
 
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_every_short_length_matches_definition(self, k):
+        # fib switches from its window to doubling inside this sweep for
+        # k <= 5, at n = 161 for k = 2 and n = 451 for k = 5
+        for q in range(2, 6):
+            want = naive_fib_list(k, q, 501)
+            assert [fib(k, q, n) for n in range(501)] == want, (k, q)
+
+    @pytest.mark.parametrize("k,q,n", [(2, 2, 200_000), (10, 3, 88_552), (14, 2, 32_738)])
+    def test_long_lengths_match_definition_mod_prime(self, k, q, n):
+        # the probe's lengths, against the definition stepped on residues
+        p = 2**61 - 1
+        assert fib(k, q, n) % p == naive_fib_mod(k, q, n, p)
+
+    def test_each_path_is_taken(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("wrong path")
+
+        monkeypatch.setattr(fibonacci, "_fib_by_doubling", refuse)
+        assert fib(20, 2, 1000) == naive_fib(20, 2, 1000)
+        monkeypatch.undo()
+        # the window is the only user of deque
+        monkeypatch.setattr(fibonacci, "deque", refuse)
+        # F_{2,2}(n) is the Fibonacci number after F_n, about phi**(n+1) / sqrt(5)
+        assert fib(2, 2, 200_000).bit_length() == 138_849
+
     def test_memory_is_a_window(self):
-        # the window holds k+1 = 11 values no larger than the result;
-        # keeping the whole sequence would take thousands of times its size
+        # this length doubles, over k = 10 coefficients and k-1 folded ones,
+        # none larger than the result; keeping the whole sequence would
+        # take thousands of times its size
         tracemalloc.start()
         try:
             value = fib(10, 3, 5000)
@@ -88,6 +115,17 @@ class TestRecurrence:
         tracemalloc.start()
         try:
             value = fib(2000, 2, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * sys.getsizeof(value)
+
+    @pytest.mark.parametrize("k,q,n", [(2, 2, 200_000), (12, 3, 2000)], ids=["doubling", "window"])
+    def test_memory_per_path(self, k, q, n):
+        # O(k) values no larger than the result on either side of the switch
+        tracemalloc.start()
+        try:
+            value = fib(k, q, n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -242,6 +280,31 @@ class TestClosedForm:
             q = rng.randint(2, 5)
             n = rng.randint(0, 200)
             assert fib_closed_form(k, q, n) == fib(k, q, n), (k, q, n)
+
+    def test_first_pass_covers_n(self, monkeypatch):
+        # 200*log2(5) + 8 + 32 bits fit in 512 = 128 * 2**2: one pass, no escalation
+        calls = []
+
+        def counted(k, q, bits):
+            calls.append((k, q, bits))
+            return find_alpha(k, q, bits)
+
+        monkeypatch.setattr(fibonacci, "find_alpha", counted)
+        assert fib_closed_form(8, 5, 200) == fib(8, 5, 200)
+        assert calls == [(8, 5, 512)]
+
+    def test_coarse_bracket_escalates(self, monkeypatch):
+        # a 53-bit bracket at the first pass cannot settle F(200); the
+        # next pass doubles the bits and lands on the exact value
+        calls = []
+
+        def coarse_first(k, q, bits):
+            calls.append(bits)
+            return find_alpha(k, q, 53 if len(calls) == 1 else bits)
+
+        monkeypatch.setattr(fibonacci, "find_alpha", coarse_first)
+        assert fib_closed_form(3, 2, 200) == fib(3, 2, 200)
+        assert calls == [256, 512]
 
     def test_low_precision_escalates_not_wrong(self):
         # 53 bits cannot settle large n directly; escalation must still
