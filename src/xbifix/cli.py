@@ -2,13 +2,13 @@
 
 Exit codes: 0 success, 1 property violated, 2 usage or parse error,
 3 capacity or budget exhausted; each error is one line on stderr.  Big
-integers are printed in full, as decimal strings in JSON output.
-XBIFIX_PRECISION_BITS sets the default `--bits` of `alpha`; no other
-command reads it.
+integers are printed in full, as decimal strings in JSON output: every
+command runs with the int-to-str digit limit lifted.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -18,6 +18,7 @@ from contextlib import contextmanager
 from datetime import datetime, timezone
 
 import click
+import mpmath
 
 from . import __version__
 from .bounds import asymptotic_probe, bounds_report, target_ratio, variance_formula
@@ -40,17 +41,9 @@ EXIT_CAPACITY = 3
 DESK_SCALE_N = 14  # an exact clique search runs unasked on q**n <= 2**DESK_SCALE_N words
 
 
-def _default_bits() -> int:
-    raw = os.environ.get("XBIFIX_PRECISION_BITS", str(DEFAULT_PRECISION_BITS))
-    try:
-        return int(raw)
-    except ValueError:
-        raise click.UsageError(f"XBIFIX_PRECISION_BITS must be an integer, got {raw!r}")
-
-
 @contextmanager
 def _all_digits():
-    """Lift the int-to-str digit limit while exact integers are formatted,
+    """Lift the int-to-str digit limit, so exact integers print in full,
     then restore it; Python builds without the limit are left alone."""
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
@@ -93,14 +86,15 @@ def _desk_scale(n: int, q: int, hint: str) -> None:
 
 
 class _Group(click.Group):
-    """Runs its parsing and every subcommand, click's too, under _usage_line."""
+    """Runs its parsing and every subcommand, click's too, under _usage_line,
+    and every subcommand with the digit limit lifted."""
 
     def make_context(self, *args, **kwargs):
         with _usage_line():
             return super().make_context(*args, **kwargs)
 
     def invoke(self, ctx):
-        with _usage_line():
+        with _usage_line(), _all_digits():
             return super().invoke(ctx)
 
 
@@ -150,11 +144,10 @@ def best(n, q, as_json):
     """Best construction size over all k."""
     record = best_size(n, q)
     k = "-" if record.best_k is None else record.best_k
-    with _all_digits():
-        if as_json:
-            click.echo(json.dumps(record.to_json_dict()))
-        else:
-            click.echo(f"S({n},{q}) = {record.size}  (k = {k})")
+    if as_json:
+        click.echo(json.dumps(record.to_json_dict()))
+    else:
+        click.echo(f"S({n},{q}) = {record.size}  (k = {k})")
 
 
 @main.command("fib")
@@ -163,41 +156,23 @@ def best(n, q, as_json):
 @click.option("--n", type=int, required=True)
 def fib_cmd(k, q, n):
     """Weighted k-step Fibonacci value F_{k,q}(n)."""
-    value = fib(k, q, n)
-    with _all_digits():
-        click.echo(value)
+    click.echo(fib(k, q, n))
 
 
 @main.command()
 @click.option("--k", type=int, required=True)
 @click.option("--q", type=int, required=True)
-@click.option("--bits", type=int, default=None, help="working precision bits")
+@click.option("--bits", type=int, default=DEFAULT_PRECISION_BITS, show_default=True,
+              help="working precision bits")
 @click.option("--json", "as_json", is_flag=True)
 def alpha(k, q, bits, as_json):
     """Dominant root alpha(k, q) of the growth polynomial."""
-    bits = bits if bits is not None else _default_bits()
     est = find_alpha(k, q, bits)
     digits = max(int(bits * math.log10(2)) - 2, 6)
-    import mpmath
-
     with mpmath.mp.workprec(bits + 16):
-        if as_json:
-            click.echo(
-                json.dumps(
-                    {
-                        "k": k,
-                        "q": q,
-                        "precision_bits": bits,
-                        "alpha": mpmath.nstr(est.alpha, digits),
-                        "bracket": [
-                            mpmath.nstr(est.lo, digits),
-                            mpmath.nstr(est.hi, digits),
-                        ],
-                    }
-                )
-            )
-        else:
-            click.echo(mpmath.nstr(est.alpha, digits))
+        value, lo, hi = (mpmath.nstr(x, digits) for x in (est.alpha, est.lo, est.hi))
+    record = {"k": k, "q": q, "precision_bits": bits, "alpha": value, "bracket": [lo, hi]}
+    click.echo(json.dumps(record) if as_json else value)
 
 
 @main.command()
@@ -225,42 +200,31 @@ def table(q, n_max, as_json, markdown, clique_upto):
         optimal = None
         if clique_upto and n <= clique_upto:
             optimal = max_clique(build_graph(n, q)).size
-        with _all_digits():
-            rows.append(
-                {
-                    "n": n,
-                    "bilotta": str(rep.bilotta) if rep.bilotta is not None else None,
-                    "size": str(rep.construction_size),
-                    "best_k": rep.best_k,
-                    "upper_bound_floor": str(math.floor(rep.upper_bound)),
-                    "optimal": str(optimal) if optimal is not None else None,
-                }
-            )
+        rows.append(
+            {
+                "n": n,
+                "bilotta": str(rep.bilotta) if rep.bilotta is not None else None,
+                "size": str(rep.construction_size),
+                "best_k": rep.best_k,
+                "upper_bound_floor": str(math.floor(rep.upper_bound)),
+                "optimal": str(optimal) if optimal is not None else None,
+            }
+        )
     if as_json:
         click.echo(json.dumps({"q": q, "rows": rows}))
         return
     header = ["n", "B(n)", f"S(n,{q})", "k", "bound", "C(n,q)"]
-    fmt_rows = [
-        [
-            str(r["n"]),
-            r["bilotta"] or "-",
-            r["size"],
-            str(r["best_k"]) if r["best_k"] is not None else "-",
-            r["upper_bound_floor"],
-            r["optimal"] or "",
-        ]
-        for r in rows
-    ]
-    widths = [max([len(h), *(len(row[i]) for row in fmt_rows)]) for i, h in enumerate(header)]
+    blanks = ["", "-", "", "-", "", ""]  # what an empty cell prints, per column
+    grid = [header]
+    for r in rows:
+        grid.append([blank if v is None else str(v) for v, blank in zip(r.values(), blanks)])
+    widths = [max(len(row[i]) for row in grid) for i in range(len(header))]
     if markdown:
-        click.echo("| " + " | ".join(h.ljust(w) for h, w in zip(header, widths)) + " |")
-        click.echo("|" + "|".join("-" * (w + 2) for w in widths) + "|")
-        for row in fmt_rows:
-            click.echo("| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |")
+        lines = ["| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |" for row in grid]
+        lines.insert(1, "|" + "|".join("-" * (w + 2) for w in widths) + "|")
     else:
-        click.echo("  ".join(h.rjust(w) for h, w in zip(header, widths)))
-        for row in fmt_rows:
-            click.echo("  ".join(c.rjust(w) for c, w in zip(row, widths)))
+        lines = ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in grid]
+    click.echo("\n".join(lines))
 
 
 @main.command()
@@ -274,19 +238,8 @@ def probe(q, k_min, k_max, c, as_json):
     rows = asymptotic_probe(q, range(k_min, k_max + 1), c=c)
     target = target_ratio(q)
     if as_json:
-        with _all_digits():
-            click.echo(
-                json.dumps(
-                    {
-                        "q": q,
-                        "target": target,
-                        "rows": [
-                            {"k": r.k, "n": r.n, "size": str(r.size), "ratio": r.ratio}
-                            for r in rows
-                        ],
-                    }
-                )
-            )
+        rows = [{**dataclasses.asdict(r), "size": str(r.size)} for r in rows]
+        click.echo(json.dumps({"q": q, "target": target, "rows": rows}))
         return
     click.echo(f"target (q-1)/(q e) = {target:.6f}")
     for r in rows:
@@ -337,24 +290,9 @@ def sim(code_file, trials, seed, max_stream, as_json):
         raise SystemExit(EXIT_VIOLATION)
     predicted = variance_formula(code.n, code.q, len(code))
     if as_json:
-        click.echo(
-            json.dumps(
-                {
-                    "n": code.n,
-                    "q": code.q,
-                    "M": len(code),
-                    "trials": trials,
-                    "seed": seed,
-                    "samples": stats.samples,
-                    "mean": stats.mean,
-                    "variance": stats.variance,
-                    "min": stats.min,
-                    "max": stats.max,
-                    "truncated": stats.truncated,
-                    "predicted_variance": predicted,
-                }
-            )
-        )
+        record = {"n": code.n, "q": code.q, "M": len(code), "trials": trials, "seed": seed}
+        record.update(dataclasses.asdict(stats), predicted_variance=predicted)
+        click.echo(json.dumps(record))
     else:
         click.echo(
             f"samples={stats.samples} mean={stats.mean:.3f} "

@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .construction import best_size, generate_direct
-from .words import MAX_Q, CapacityError, Code, verify_code
+from .words import MAX_Q, CapacityError, Code, check_power_cap, verify_code
 
 VERTEX_CAP = 2**16  # bifix-free words build_graph takes as vertices at most
 _ROW_BLOCK = 256  # graph-build rows per step; bounds memory to 256 x V booleans
@@ -87,8 +87,7 @@ def build_graph(n: int, q: int) -> CompatGraph:
     then ascending value.  int64 is exact under the cap."""
     if n < 1 or not 2 <= q <= MAX_Q:
         raise ValueError(f"need n >= 1 and 2 <= q <= {MAX_Q}, got n={n}, q={q}")
-    if q**n > VERTEX_CAP * 8:
-        raise CapacityError(f"q**n = {q**n} too large to enumerate")
+    check_power_cap(q, n, VERTEX_CAP * 8)
     words = np.arange(q**n, dtype=np.int64)
     for length in range(1, n):
         words = words[words // q ** (n - length) != words % q**length]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fibonacci import fib
-from .words import CapacityError, Code
+from .words import Code, check_power_cap
 
 ENUM_CAP = 2**20  # interior windows generate_direct enumerates at most
 
@@ -34,8 +34,7 @@ def generate_direct(n: int, k: int, q: int) -> Code:
     """
     validate_params(n, k, q)
     m = n - k - 2
-    if q**m > ENUM_CAP:
-        raise CapacityError(f"q**(n-k-2) = {q**m} exceeds cap {ENUM_CAP}")
+    check_power_cap(q, m, ENUM_CAP, "q**(n-k-2)")
     middles = np.arange(q**m, dtype=np.int64)
     for shift in range(m - k + 1):
         # drop middles whose symbols q**shift .. q**(shift+k-1) are all zero

@@ -38,6 +38,14 @@ class CapacityError(Exception):
     """An enumeration would exceed its configured guard."""
 
 
+def check_power_cap(q: int, n: int, cap: int, name: str = "q**n") -> None:
+    """CapacityError when q**n > cap, for q >= 2.  The message writes the
+    power as q**n, never in decimal, and once 2**n > cap, n alone refuses
+    before q**n is computed."""
+    if n >= cap.bit_length() or q**n > cap:
+        raise CapacityError(f"{name} = {q}**{n} exceeds cap {cap}")
+
+
 class CodeFormatError(ValueError):
     """Malformed code file; carries the offending line number."""
 
@@ -229,8 +237,7 @@ def find_expansion(code: Code) -> Optional[Word]:
     whose addition keeps the code cross-bifix-free, or None.  Candidates
     are scanned in ascending chunks of int64 values, exact under the cap."""
     n, q = code.n, code.q
-    if q**n > NONEXPANDABLE_CAP:
-        raise CapacityError(f"q**n = {q**n} exceeds cap {NONEXPANDABLE_CAP}")
+    check_power_cap(q, n, NONEXPANDABLE_CAP)
     if not verify_code(code):
         raise ValueError("code is not cross-bifix-free")
     members = np.array(code.values, dtype=np.int64)

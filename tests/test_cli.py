@@ -1,12 +1,14 @@
+import importlib
 import json
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from xbifix.cli import main
 from xbifix.clique import build_graph, max_clique
-from xbifix.construction import generate_direct
+from xbifix.construction import generate_direct, size_formula
 from xbifix.fibonacci import fib
 from xbifix.words import format_code, parse_code, write_code
 
@@ -14,6 +16,28 @@ from xbifix.words import format_code, parse_code, write_code
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def _digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def _decimal(digits: str) -> int:
+    """Decimal to int in chunks, which no digit limit applies to."""
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_console_script_resolves_to_main():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["xbifix"]
+    module, _, attr = target.partition(":")
+    assert (module, attr) == ("xbifix.cli", "main")
+    assert getattr(importlib.import_module(module), attr) is main
 
 
 class TestGen:
@@ -74,18 +98,13 @@ class TestFibAlpha:
         assert result.output.strip() == "24"
 
     def test_fib_prints_past_the_digit_limit(self, runner):
-        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        limit = _digit_limit()
         result = runner.invoke(main, ["fib", "--k", "2", "--q", "2", "--n", "30000"])
         assert result.exit_code == 0
         digits = result.stdout.strip()
         assert len(digits) > 4300 and digits.isdigit()
-        # decimal to int in chunks, which no digit limit applies to
-        value = 0
-        for i in range(0, len(digits), 1000):
-            chunk = digits[i:i + 1000]
-            value = value * 10 ** len(chunk) + int(chunk)
-        assert value == fib(2, 2, 30000)
-        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        assert _decimal(digits) == fib(2, 2, 30000)
+        assert _digit_limit() == limit
 
     def test_fib_on_a_build_without_the_digit_limit(self, runner, monkeypatch):
         monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
@@ -96,15 +115,6 @@ class TestFibAlpha:
     def test_alpha_decimal(self, runner):
         result = runner.invoke(main, ["alpha", "--k", "2", "--q", "2", "--bits", "64"])
         assert result.output.strip().startswith("1.6180339887")
-
-    def test_bad_precision_env_usage_error(self, runner):
-        result = runner.invoke(
-            main, ["alpha", "--k", "3", "--q", "2"], env={"XBIFIX_PRECISION_BITS": "abc"}
-        )
-        assert result.exit_code == 2
-        assert result.exception is None or isinstance(result.exception, SystemExit)
-        assert len(result.stderr.strip().splitlines()) == 1
-        assert "XBIFIX_PRECISION_BITS" in result.stderr
 
     def test_alpha_zero_bits_refused(self, runner):
         result = runner.invoke(main, ["alpha", "--k", "3", "--q", "2", "--bits", "0"])
@@ -118,6 +128,14 @@ class TestFibAlpha:
         )
         data = json.loads(result.output)
         assert float(data["bracket"][0]) <= float(data["alpha"]) <= float(data["bracket"][1])
+
+    def test_alpha_json_default_precision(self, runner):
+        result = runner.invoke(main, ["alpha", "--k", "2", "--q", "2", "--json"])
+        assert result.exit_code == 0
+        data = json.loads(result.output)
+        assert list(data) == ["k", "q", "precision_bits", "alpha", "bracket"]
+        assert data["precision_bits"] == 128
+        assert data["alpha"].startswith("1.618033988749894848204586834365638")
 
 
 class TestTable:
@@ -141,6 +159,16 @@ class TestTable:
         rows = {r["n"]: r for r in json.loads(result.output)["rows"]}
         assert rows[9]["optimal"] == "14"
 
+    def test_text_rows(self, runner):
+        result = runner.invoke(main, ["table", "--n-max", "9", "--clique-upto", "8"])
+        assert result.exit_code == 0
+        lines = result.stdout.splitlines()
+        assert lines[0] == "n  B(n)  S(n,2)  k  bound  C(n,q)"
+        # n=3 has no best k; n=9 is past --clique-upto, so its C(n,q) is blank
+        assert lines[1] == "3     1       1  -      1       1"
+        assert lines[-1] == "9    14      13  2     30        "
+        assert len(lines) == 8
+
     def test_no_rows_prints_the_header(self, runner):
         # q=3 starts at n=4, so n-max 3 leaves no rows
         result = runner.invoke(main, ["table", "--q", "3", "--n-max", "3"])
@@ -151,6 +179,30 @@ class TestTable:
         result = runner.invoke(main, ["table", "--n-max", "15", "--clique-upto", "15"])
         assert result.exit_code == 2
         assert result.stderr.startswith("usage: n=15 exceeds the desk-scale range")
+
+
+class TestProbe:
+    def test_text(self, runner):
+        result = runner.invoke(main, ["probe", "--k-max", "6"])
+        assert result.exit_code == 0
+        assert result.stdout == (
+            "target (q-1)/(q e) = 0.183940\n"
+            "k=  4  n=     28  ratio=0.212124\n"
+            "k=  5  n=     59  ratio=0.199584\n"
+            "k=  6  n=    122  ratio=0.192740\n"
+        )
+
+    def test_json_size_past_the_digit_limit(self, runner):
+        limit = _digit_limit()
+        result = runner.invoke(main, ["probe", "--k-min", "14", "--k-max", "14", "--json"])
+        assert result.exit_code == 0
+        data = json.loads(result.stdout)
+        assert list(data) == ["q", "target", "rows"]
+        (row,) = data["rows"]
+        assert list(row) == ["k", "n", "size", "ratio"]
+        assert len(row["size"]) > 4300
+        assert _decimal(row["size"]) == size_formula(row["n"], 14, 2)
+        assert _digit_limit() == limit
 
 
 class TestClique:
@@ -198,6 +250,11 @@ class TestSimVerify:
         )
         assert result.exit_code == 0
         data = json.loads(result.output)
+        assert list(data) == [
+            "n", "q", "M", "trials", "seed",
+            "samples", "mean", "variance", "min", "max", "truncated",
+            "predicted_variance",
+        ]
         assert data["M"] == 5
         assert data["predicted_variance"] == pytest.approx(322.56)
         assert data["samples"] == 2000
@@ -286,6 +343,17 @@ class TestSimVerify:
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("usage: line 3: ")
 
+    def test_verify_past_the_digit_limit(self, runner, tmp_path):
+        # 3**10000 has more decimal digits than the interpreter formats by default
+        path = tmp_path / "c10000.txt"
+        path.write_text("# xbifix code n=10000 q=3\n" + "1" * 9999 + "2\n")
+        result = runner.invoke(main, ["verify", str(path)])
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        assert result.output == (
+            "cross-bifix-free: yes; nonexpandable: not checked (instance too large)\n"
+        )
+
     def test_verify_too_large_to_scan(self, runner, tmp_path):
         path = tmp_path / "c25.txt"
         write_code(generate_direct(25, 20, 2), path)
@@ -311,6 +379,9 @@ class TestErrors:
             (["clique", "--q", "3", "--n", "9"], 2),
             (["table", "--q", "4", "--n-max", "8", "--clique-upto", "8"], 2),
             (["gen", "--n", "30", "--k", "2"], 3),
+            (["gen", "--n", "20000", "--k", "2"], 3),
+            (["gen", "--n", "4000000", "--k", "2", "--q", "3"], 3),
+            (["clique", "--long", "--n", "20000"], 3),
         ],
         ids=lambda a: " ".join(a) if isinstance(a, list) else f"exit-{a}",
     )
@@ -319,5 +390,6 @@ class TestErrors:
         assert result.exit_code == code
         assert isinstance(result.exception, SystemExit)
         assert len(result.stderr.splitlines()) == 1
+        assert len(result.stderr) < 200
         assert result.stderr.startswith("usage: " if code == 2 else "capacity: ")
         assert "Traceback" not in result.output

@@ -56,6 +56,12 @@ class TestGenerateDirect:
         with pytest.raises(CapacityError):
             generate_direct(30, 2, 2)
 
+    def test_capacity_guard_past_the_digit_limit(self):
+        # 2**19996 has more decimal digits than the interpreter formats by
+        # default: the guard names the power instead of printing it
+        with pytest.raises(CapacityError, match=r"2\*\*19996 exceeds cap"):
+            generate_direct(20000, 2, 2)
+
 
 class TestGeneratorEquivalence:
     @pytest.mark.parametrize("q", [2, 3])
