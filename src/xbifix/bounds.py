@@ -103,12 +103,12 @@ def asymptotic_probe(q: int, k_range, c: float | None = None) -> list[ProbeRow]:
         c = q / (q - 1)
     if c <= 0:
         raise ValueError(f"c must be positive, got {c}")
-    rows = []
-    for k in k_range:
-        alpha = find_alpha(k, q).alpha
-        n = int(math.ceil(c * alpha**k))
+    lengths = [(k, int(math.ceil(c * find_alpha(k, q).alpha ** k))) for k in k_range]
+    for k, n in lengths:  # refuse before counting any k
         if n > PROBE_N_CAP:
             raise CapacityError(f"n(k={k}) = {n} exceeds cap {PROBE_N_CAP}")
+    rows = []
+    for k, n in lengths:
         size = size_formula(n, k, q)
         # ratio via logs: q**n is far beyond float range
         log_ratio = math.log(size) + math.log(n) - n * math.log(q)

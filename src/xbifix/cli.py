@@ -28,6 +28,7 @@ from .fibonacci import DEFAULT_PRECISION_BITS, fib, find_alpha
 from .sim import DEFAULT_MAX_STREAM, SimConfig, run_sim
 from .words import (
     CapacityError,
+    check_alphabet,
     find_violation,
     format_code,
     is_nonexpandable,
@@ -76,10 +77,11 @@ def _usage_line():
 
 
 def _desk_scale(n: int, q: int, hint: str) -> None:
-    """Refuse an exact clique search over more than 2**DESK_SCALE_N words;
-    build_graph reports an invalid (n, q) itself.  n > DESK_SCALE_N is
-    refused before q**n is computed."""
-    if n >= 1 and q >= 2 and (n > DESK_SCALE_N or q**n > 2**DESK_SCALE_N):
+    """Refuse a bad alphabet, then an exact clique search over more than
+    2**DESK_SCALE_N words; build_graph reports an invalid n itself.
+    n > DESK_SCALE_N is refused before q**n is computed."""
+    check_alphabet(q)
+    if n >= 1 and (n > DESK_SCALE_N or q**n > 2**DESK_SCALE_N):
         raise click.UsageError(
             f"n={n} exceeds the desk-scale range (q**n <= 2**{DESK_SCALE_N}); {hint}"
         )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fibonacci import fib
-from .words import Code, check_power_cap
+from .words import Code, check_alphabet, check_power_cap
 
 ENUM_CAP = 2**20  # interior windows generate_direct enumerates at most
 
@@ -33,6 +33,7 @@ def generate_direct(n: int, k: int, q: int) -> Code:
     middle*q + beta, m = n-k-2, so alpha, middle, beta order ascends.
     """
     validate_params(n, k, q)
+    check_alphabet(q)
     m = n - k - 2
     check_power_cap(q, m, ENUM_CAP, "q**(n-k-2)")
     middles = np.arange(q**m, dtype=np.int64)

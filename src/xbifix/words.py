@@ -46,6 +46,11 @@ def check_power_cap(q: int, n: int, cap: int, name: str = "q**n") -> None:
         raise CapacityError(f"{name} = {q}**{n} exceeds cap {cap}")
 
 
+def check_alphabet(q: int) -> None:
+    if not 2 <= q <= MAX_Q:
+        raise ValueError(f"alphabet size must be in [2, {MAX_Q}], got {q}")
+
+
 class CodeFormatError(ValueError):
     """Malformed code file; carries the offending line number."""
 
@@ -64,8 +69,7 @@ class Word:
     q: int
 
     def __post_init__(self):
-        if self.q < 2 or self.q > MAX_Q:
-            raise ValueError(f"alphabet size must be in [2, {MAX_Q}], got {self.q}")
+        check_alphabet(self.q)
         if len(self.symbols) < 1:
             raise ValueError("word must have length >= 1")
         for s in self.symbols:

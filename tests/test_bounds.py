@@ -131,6 +131,19 @@ class TestProbe:
             # n(18) = 524,270, past PROBE_N_CAP = 200,000
             asymptotic_probe(2, [18])
 
+    def test_capped_range_refused_before_counting(self, monkeypatch):
+        # n(15) and n(16) are under the cap, n(17) = 262,127 is not: no
+        # size is counted before the refusal
+        from xbifix import bounds
+        from xbifix.words import CapacityError
+
+        def refuse(*args):
+            raise AssertionError("counted a size before checking the cap")
+
+        monkeypatch.setattr(bounds, "size_formula", refuse)
+        with pytest.raises(CapacityError, match="k=17"):
+            asymptotic_probe(2, range(15, 21))
+
 
 class TestReport:
     def test_report_fields(self):

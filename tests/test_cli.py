@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import sys
@@ -90,6 +91,14 @@ class TestBest:
             "per_k": data["per_k"],
         }
         assert data["best_k"] == 4
+
+
+    def test_json_is_byte_identical_at_2000(self, runner):
+        # sha256 of the output before fib summed zero runs for short lengths
+        result = runner.invoke(main, ["best", "--n", "2000", "--json"])
+        assert result.exit_code == 0
+        digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+        assert digest == "988ceb4841cfe94e829a6a88adc086238d5e8a1b456189e2976d3eea4042375e"
 
 
 class TestFibAlpha:
@@ -382,6 +391,11 @@ class TestErrors:
             (["gen", "--n", "20000", "--k", "2"], 3),
             (["gen", "--n", "4000000", "--k", "2", "--q", "3"], 3),
             (["clique", "--long", "--n", "20000"], 3),
+            (["gen", "--n", "10", "--k", "2", "--q", "40"], 2),
+            (["gen", "--n", "6", "--k", "2", "--q", "40"], 2),
+            (["clique", "--n", "3", "--q", "40"], 2),
+            (["clique", "--long", "--n", "3", "--q", "40"], 2),
+            (["table", "--q", "40", "--n-max", "5", "--clique-upto", "5"], 2),
         ],
         ids=lambda a: " ".join(a) if isinstance(a, list) else f"exit-{a}",
     )
@@ -393,3 +407,5 @@ class TestErrors:
         assert len(result.stderr) < 200
         assert result.stderr.startswith("usage: " if code == 2 else "capacity: ")
         assert "Traceback" not in result.output
+        if "40" in args and "--long" not in args:
+            assert result.stderr == "usage: alphabet size must be in [2, 36], got 40\n"

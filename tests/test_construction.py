@@ -3,7 +3,7 @@ import pytest
 from xbifix.construction import best_size, generate_direct, size_formula
 from xbifix.words import CapacityError, Word, is_nonexpandable, verify_code
 
-from oracles import generate_recursive
+from oracles import generate_recursive, naive_fib_list
 
 # published size table for the binary alphabet: n -> (S(n,2), best k)
 TABLE = {
@@ -44,6 +44,12 @@ class TestGenerateDirect:
                 assert s[:k] == (0,) * k
                 assert s[k] != 0
                 assert s[-1] != 0
+
+    def test_alphabet_beyond_base36(self):
+        # refused as an alphabet, at lengths under the enumeration cap and over it
+        for n in (6, 10):
+            with pytest.raises(ValueError, match="alphabet size"):
+                generate_direct(n, 2, 40)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -135,6 +141,17 @@ class TestBestSize:
         record = best_size(16, 2)
         assert record.size == max(record.per_k.values())
         assert record.per_k[record.best_k] == record.size
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_per_k_matches_definition(self, q):
+        # every length to 300, across fib's switch from the zero-run sum
+        # to the other paths (n = 96 for k = 2, 192 for k = 3)
+        interiors = {k: naive_fib_list(k, q, 299 - k) for k in range(2, 299)}
+        for n in range(4, 301):
+            want = {k: (q - 1) ** 2 * interiors[k][n - k - 2] for k in valid_ks(n)}
+            record = best_size(n, q)
+            assert record.per_k == want, (n, q)
+            assert record.best_k == max(want, key=want.get), (n, q)
 
     def test_n3_binary_only(self):
         assert best_size(3, 2).size == 1

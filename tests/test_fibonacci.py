@@ -25,6 +25,19 @@ from oracles import naive_fib, naive_fib_list, naive_fib_mod
 LARGE_N = [(3, 2, 3000), (10, 3, 2000), (3, 2, 40)]
 
 
+def zero_run_end(k, q):
+    """The first n past fib's zero-run sum."""
+    return math.ceil(max(16 * k * (k + 1), k**3 * math.log2(q)))
+
+
+def _spy(calls, func):
+    def wrapped(k, q, n):
+        calls.append(n)
+        return func(k, q, n)
+
+    return wrapped
+
+
 def assert_enclosure(k, q, est):
     """g(lo) < 0 < g(hi) in interval arithmetic, at twice the bracket's
     precision: g changes sign exactly at alpha, so lo < alpha < hi."""
@@ -72,13 +85,19 @@ class TestRecurrence:
                 for n in range(k + 3):
                     assert fib(k, q, n) == naive_fib(k, q, n), (k, q, n)
 
-    @pytest.mark.parametrize("k", range(2, 13))
-    def test_every_short_length_matches_definition(self, k):
-        # fib switches from its window to doubling inside this sweep for
-        # k <= 5, at n = 161 for k = 2 and n = 451 for k = 5
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_every_short_length_matches_definition(self, k, monkeypatch):
+        # every n up to 500, where fib takes all three paths for k <= 4,
+        # and the last three lengths of the zero-run sum and the first
+        # three after it, for every k
+        taken = []
+        monkeypatch.setattr(fibonacci, "_fib_by_zero_runs", _spy(taken, fibonacci._fib_by_zero_runs))
         for q in range(2, 6):
-            want = naive_fib_list(k, q, 501)
-            assert [fib(k, q, n) for n in range(501)] == want, (k, q)
+            end = zero_run_end(k, q)
+            want = naive_fib_list(k, q, end + 3)
+            for n in [*range(min(501, end - 3)), *range(end - 3, end + 3)]:
+                assert fib(k, q, n) == want[n], (k, q, n)
+            assert taken[-3:] == [end - 3, end - 2, end - 1], (k, q)
 
     @pytest.mark.parametrize("k,q,n", [(2, 2, 200_000), (10, 3, 88_552), (14, 2, 32_738)])
     def test_long_lengths_match_definition_mod_prime(self, k, q, n):
@@ -90,13 +109,45 @@ class TestRecurrence:
         def refuse(*args, **kwargs):
             raise AssertionError("wrong path")
 
-        monkeypatch.setattr(fibonacci, "_fib_by_doubling", refuse)
-        assert fib(20, 2, 1000) == naive_fib(20, 2, 1000)
-        monkeypatch.undo()
-        # the window is the only user of deque
-        monkeypatch.setattr(fibonacci, "deque", refuse)
-        # F_{2,2}(n) is the Fibonacci number after F_n, about phi**(n+1) / sqrt(5)
-        assert fib(2, 2, 200_000).bit_length() == 138_849
+        # the window is the only user of deque; F_{2,2}(n) is the
+        # Fibonacci number after F_n, about phi**(n+1) / sqrt(5)
+        paths = {
+            "_fib_by_zero_runs": (lambda: fib(20, 2, 1000), naive_fib(20, 2, 1000)),
+            "deque": (lambda: fib(24, 2, 15_000), naive_fib(24, 2, 15_000)),
+            "_fib_by_doubling": (lambda: fib(2, 2, 200_000).bit_length(), 138_849),
+        }
+        for path, (run, want) in paths.items():
+            for other in set(paths) - {path}:
+                monkeypatch.setattr(fibonacci, other, refuse)
+            assert run() == want, path
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize(
+        "k,q,n,path",
+        [
+            # the probe's lengths, where doubling measured fastest
+            (2, 2, 200_000, "_fib_by_doubling"),
+            (10, 3, 88_552, "_fib_by_doubling"),
+            (14, 2, 32_738, "_fib_by_doubling"),
+            # window time over doubling time measured 0.68 and 0.71 here
+            (28, 3, 64_000, "deque"),
+            (32, 3, 128_000, "deque"),
+        ],
+    )
+    def test_path_chosen_at_measured_lengths(self, monkeypatch, k, q, n, path):
+        class Chosen(Exception):
+            pass
+
+        def chosen(name):
+            def raise_chosen(*args, **kwargs):
+                raise Chosen(name)
+
+            return raise_chosen
+
+        for name in ("_fib_by_zero_runs", "deque", "_fib_by_doubling"):
+            monkeypatch.setattr(fibonacci, name, chosen(name))
+        with pytest.raises(Chosen, match=path):
+            fib(k, q, n)
 
     def test_memory_is_a_window(self):
         # this length doubles, over k = 10 coefficients and k-1 folded ones,
@@ -111,7 +162,8 @@ class TestRecurrence:
         assert peak < 32 * sys.getsizeof(value)
 
     def test_memory_below_k(self):
-        # n < k is q**n itself; no window of k powers is built
+        # n < k is q**n itself, the zero-run sum with no terms; no power
+        # of q beyond q**(n+1) is built
         tracemalloc.start()
         try:
             value = fib(2000, 2, 5)
@@ -120,9 +172,12 @@ class TestRecurrence:
             tracemalloc.stop()
         assert peak < 32 * sys.getsizeof(value)
 
-    @pytest.mark.parametrize("k,q,n", [(2, 2, 200_000), (12, 3, 2000)], ids=["doubling", "window"])
+    @pytest.mark.parametrize(
+        "k,q,n", [(2, 2, 200_000), (16, 5, 12_000), (16, 3, 6000)], ids=["doubling", "window", "zero-runs"]
+    )
     def test_memory_per_path(self, k, q, n):
-        # O(k) values no larger than the result on either side of the switch
+        # O(k) values no larger than the result in the doubling and the
+        # window, a few of about its size in the zero-run sum
         tracemalloc.start()
         try:
             value = fib(k, q, n)
