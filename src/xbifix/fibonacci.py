@@ -50,16 +50,16 @@ def _check_kq(k: int, q: int, n: int = 0) -> None:
 
 def fib(k: int, q: int, n: int) -> int:
     """Exact F_{k,q}(n) in O(k) live integers, by the path that measured
-    fastest for q = 2, 3, 5 and k = 2..32: the zero-run sum in O(n/k)
-    terms below n = 16*k*(k+1) and k**3 * log2(q); doubling in O(k**2
-    log n) products beyond 10*k*log2(n) (its interpreted squares) and
-    k**5 * log2(q)**2 / 250 (its products as long as F(n)); between them a
-    window of k+1 values stepping F(m+1) = q*F(m) - (q-1)*F(m-k)."""
+    fastest: the zero-run sum in O(n/k) terms below n = 16*k*(k+1), fitted
+    for q = 2, 3, 5 and k = 2..32; doubling in O(k**2 log n) products
+    beyond 10*k*log2(n) (its interpreted squares) and k**5 * log2(q)**2 /
+    250 (its products as long as F(n)), fitted for q = 2, 3 and k = 16..32
+    only; between them a window of k+1 values stepping F(m+1) = q*F(m) -
+    (q-1)*F(m-k)."""
     _check_kq(k, q, n)
-    bits = math.log2(q)
-    if n < 16 * k * (k + 1) or n < k**3 * bits:
+    if n < 16 * k * (k + 1):
         return _fib_by_zero_runs(k, q, n)
-    if max(10 * k * n.bit_length(), k**5 * bits**2 / 250) < n:
+    if max(10 * k * n.bit_length(), k**5 * math.log2(q) ** 2 / 250) < n:
         return _fib_by_doubling(k, q, n)
     window = deque([q**i for i in range(k)] + [q**k - 1], maxlen=k + 1)
     for _ in range(n - k):
@@ -71,8 +71,11 @@ def _fib_by_zero_runs(k: int, q: int, n: int) -> int:
     """The module docstring's a(n) - a(n-k).  With r = n - k*(j+1), term
     j+1 of a(n) and term j of a(n-k) join to -(1-q)**j * (q*C(r, j) +
     (q-1)*C(r, j+1)) * q**(n-k-1-(k+1)*j), one math.comb, summed by Horner's
-    rule in q**(k+1) onto a(n)'s first term q**n; below k none is left.  No
-    integer outgrows the all-positive sum: 1.14 times q**n's bits at q = k = 2."""
+    rule in q**(k+1) onto a(n)'s first term q**n.  Below k no term is
+    left and F(n) = q**n is returned before q**(k+1) is built.  No integer
+    outgrows the all-positive sum: 1.14 times q**n's bits at q = k = 2."""
+    if n < k:
+        return q**n
     acc, step = 0, q ** (k + 1)
     for j in range((n - k) // (k + 1) + 1):
         r = n - k * (j + 1)

@@ -25,11 +25,6 @@ from oracles import naive_fib, naive_fib_list, naive_fib_mod
 LARGE_N = [(3, 2, 3000), (10, 3, 2000), (3, 2, 40)]
 
 
-def zero_run_end(k, q):
-    """The first n past fib's zero-run sum."""
-    return math.ceil(max(16 * k * (k + 1), k**3 * math.log2(q)))
-
-
 def _spy(calls, func):
     def wrapped(k, q, n):
         calls.append(n)
@@ -92,10 +87,10 @@ class TestRecurrence:
         # three after it, for every k
         taken = []
         monkeypatch.setattr(fibonacci, "_fib_by_zero_runs", _spy(taken, fibonacci._fib_by_zero_runs))
+        end = 16 * k * (k + 1)  # the first n past the zero-run sum
         for q in range(2, 6):
-            end = zero_run_end(k, q)
-            want = naive_fib_list(k, q, end + 3)
-            for n in [*range(min(501, end - 3)), *range(end - 3, end + 3)]:
+            want = naive_fib_list(k, q, max(501, end + 3))
+            for n in sorted({*range(501), *range(end - 3, end + 3)}):
                 assert fib(k, q, n) == want[n], (k, q, n)
             assert taken[-3:] == [end - 3, end - 2, end - 1], (k, q)
 
@@ -132,6 +127,8 @@ class TestRecurrence:
             # window time over doubling time measured 0.68 and 0.71 here
             (28, 3, 64_000, "deque"),
             (32, 3, 128_000, "deque"),
+            # 0.47 here, past the fitted k; k**4 * log2(q)**2 / 20 would double
+            (40, 2, 130_000, "deque"),
         ],
     )
     def test_path_chosen_at_measured_lengths(self, monkeypatch, k, q, n, path):
@@ -162,18 +159,18 @@ class TestRecurrence:
         assert peak < 32 * sys.getsizeof(value)
 
     def test_memory_below_k(self):
-        # n < k is q**n itself, the zero-run sum with no terms; no power
-        # of q beyond q**(n+1) is built
+        # n < k is q**n itself, the zero-run sum with no terms; q**(k+1),
+        # a million and a quarter bytes here, is never built
         tracemalloc.start()
         try:
-            value = fib(2000, 2, 5)
+            value = fib(10**7, 2, 5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 32 * sys.getsizeof(value)
 
     @pytest.mark.parametrize(
-        "k,q,n", [(2, 2, 200_000), (16, 5, 12_000), (16, 3, 6000)], ids=["doubling", "window", "zero-runs"]
+        "k,q,n", [(2, 2, 200_000), (16, 5, 12_000), (16, 3, 4000)], ids=["doubling", "window", "zero-runs"]
     )
     def test_memory_per_path(self, k, q, n):
         # O(k) values no larger than the result in the doubling and the
