@@ -101,8 +101,8 @@ def asymptotic_probe(q: int, k_range, c: float | None = None) -> list[ProbeRow]:
         raise ValueError(f"q must be >= 2, got {q}")
     if c is None:
         c = q / (q - 1)
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"c must be finite and positive, got {c}")
     lengths = [(k, int(math.ceil(c * find_alpha(k, q).alpha ** k))) for k in k_range]
     for k, n in lengths:  # refuse before counting any k
         if n > PROBE_N_CAP:

@@ -12,17 +12,16 @@ a(n) - a(n-k), where a(m) = sum((-1)**j * C(m-k*j, j) * (q-1)**j *
 q**(m-(k+1)*j) for 0 <= j <= m/(k+1)): n/(k+1) terms, which short
 lengths use.  Since f is the recurrence's characteristic polynomial,
 x**n mod f(x) gives F(n) as a combination of the first k values, which
-long lengths use; the lengths between step the recurrence.  The
-auxiliary polynomial g(x) = (x-1)*f(x) = x**k * (x - q) + (q-1) is
-negative on (1, alpha) and positive on (alpha, infinity), so the sign of
-g, evaluated in interval arithmetic, certifies a bracket around alpha;
-its compact form is also the cheap target for Newton's method.
+long lengths use.  The auxiliary polynomial g(x) = (x-1)*f(x) =
+x**k * (x - q) + (q-1) is negative on (1, alpha) and positive on
+(alpha, infinity), so the sign of g, evaluated in interval arithmetic,
+certifies a bracket around alpha; its compact form is also the cheap
+target for Newton's method.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -49,22 +48,18 @@ def _check_kq(k: int, q: int, n: int = 0) -> None:
 
 
 def fib(k: int, q: int, n: int) -> int:
-    """Exact F_{k,q}(n) in O(k) live integers, by the path that measured
-    fastest: the zero-run sum in O(n/k) terms below n = 16*k*(k+1), fitted
-    for q = 2, 3, 5 and k = 2..32; doubling in O(k**2 log n) products
-    beyond 10*k*log2(n) (its interpreted squares) and k**5 * log2(q)**2 /
-    250 (its products as long as F(n)), fitted for q = 2, 3 and k = 16..32
-    only; between them a window of k+1 values stepping F(m+1) = q*F(m) -
-    (q-1)*F(m-k)."""
+    """Exact F_{k,q}(n) in O(k) live integers, by one of two paths split
+    at n = max(16*k*(k+1), k**4 * log2(q) / 18), fitted to timings for
+    q = 2, 3, 5 and k = 2..40: the zero-run sum in O(n/k) terms below it,
+    doubling in O(k**2 log n) products from there on.  The second term
+    follows doubling's products, which grow as long as F(n).  Near the
+    boundary for k >= 24, stepping the recurrence in O(n) operations
+    measured up to 2x faster than both."""
     _check_kq(k, q, n)
-    if n < 16 * k * (k + 1):
+    # the exact term first: past k = 10**77, k**4 overflows a float
+    if n < 16 * k * (k + 1) or n < k**4 * math.log2(q) / 18:
         return _fib_by_zero_runs(k, q, n)
-    if max(10 * k * n.bit_length(), k**5 * math.log2(q) ** 2 / 250) < n:
-        return _fib_by_doubling(k, q, n)
-    window = deque([q**i for i in range(k)] + [q**k - 1], maxlen=k + 1)
-    for _ in range(n - k):
-        window.append(q * window[-1] - (q - 1) * window[0])
-    return window[-1]
+    return _fib_by_doubling(k, q, n)
 
 
 def _fib_by_zero_runs(k: int, q: int, n: int) -> int:
@@ -234,6 +229,8 @@ def fib_closed_form(
     PrecisionError if that still fails at 64x the first pass's bits.
     """
     _check_kq(k, q, n)
+    if precision_bits < 53:
+        raise ValueError("precision_bits must be >= 53")
     bits = precision_bits
     while bits < n * math.log2(q) + n.bit_length() + 32:
         bits *= 2

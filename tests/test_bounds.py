@@ -118,6 +118,11 @@ class TestProbe:
         rows = asymptotic_probe(2, [8], c=2.0)
         assert 0 < rows[0].ratio < 0.5
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan])
+    def test_c_must_be_finite_and_positive(self, c):
+        with pytest.raises(ValueError, match="c must be finite and positive"):
+            asymptotic_probe(2, [8], c=c)
+
     def test_ternary(self):
         rows = asymptotic_probe(3, range(4, 9))
         target = target_ratio(3)

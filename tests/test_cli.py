@@ -380,6 +380,9 @@ class TestErrors:
             (["table", "--q", "1"], 2),
             (["probe", "--k-min", "1", "--k-max", "3"], 2),
             (["probe", "--k-max", "5", "--c", "-1"], 2),
+            (["probe", "--k-max", "5", "--c", "inf"], 2),
+            (["probe", "--k-max", "5", "--c", "1e400"], 2),
+            (["probe", "--k-max", "5", "--c", "nan"], 2),
             (["probe", "--q", "1", "--k-max", "5"], 2),
             (["clique", "--n", "6", "--budget", "0"], 2),
             (["clique", "--n", "11", "--budget", "nan"], 2),

@@ -54,6 +54,8 @@ class TestRecurrence:
     def test_initialization_is_power(self):
         assert fib(3, 3, 2) == 9
         assert fib(5, 4, 3) == 64
+        # k**4 is past float range here, so the boundary must not need it
+        assert fib(10**100, 2, 5) == 32
 
     def test_weighted_ternary(self):
         # F(n) = 2*(F(n-1) + F(n-2)), init 1, 3
@@ -82,21 +84,24 @@ class TestRecurrence:
 
     @pytest.mark.parametrize("k", range(2, 17))
     def test_every_short_length_matches_definition(self, k, monkeypatch):
-        # every n up to 500, where fib takes all three paths for k <= 4,
-        # and the last three lengths of the zero-run sum and the first
-        # three after it, for every k
+        # every n up to 500, where fib takes both paths for k <= 5, and
+        # the last three lengths of the zero-run sum and the first three
+        # after it, for every k and q
         taken = []
         monkeypatch.setattr(fibonacci, "_fib_by_zero_runs", _spy(taken, fibonacci._fib_by_zero_runs))
-        end = 16 * k * (k + 1)  # the first n past the zero-run sum
         for q in range(2, 6):
+            end = math.ceil(max(16 * k * (k + 1), k**4 * math.log2(q) / 18))  # the first n past the sum
             want = naive_fib_list(k, q, max(501, end + 3))
             for n in sorted({*range(501), *range(end - 3, end + 3)}):
                 assert fib(k, q, n) == want[n], (k, q, n)
             assert taken[-3:] == [end - 3, end - 2, end - 1], (k, q)
 
-    @pytest.mark.parametrize("k,q,n", [(2, 2, 200_000), (10, 3, 88_552), (14, 2, 32_738)])
+    @pytest.mark.parametrize(
+        "k,q,n", [(2, 2, 200_000), (10, 3, 88_552), (14, 2, 32_738), (24, 3, 29_214), (24, 3, 29_215)]
+    )
     def test_long_lengths_match_definition_mod_prime(self, k, q, n):
-        # the probe's lengths, against the definition stepped on residues
+        # the probe's lengths, and the last zero-run sum and first doubling
+        # at k = 24, q = 3, against the definition stepped on residues
         p = 2**61 - 1
         assert fib(k, q, n) % p == naive_fib_mod(k, q, n, p)
 
@@ -104,11 +109,10 @@ class TestRecurrence:
         def refuse(*args, **kwargs):
             raise AssertionError("wrong path")
 
-        # the window is the only user of deque; F_{2,2}(n) is the
-        # Fibonacci number after F_n, about phi**(n+1) / sqrt(5)
+        # F_{2,2}(n) is the Fibonacci number after F_n, about
+        # phi**(n+1) / sqrt(5)
         paths = {
             "_fib_by_zero_runs": (lambda: fib(20, 2, 1000), naive_fib(20, 2, 1000)),
-            "deque": (lambda: fib(24, 2, 15_000), naive_fib(24, 2, 15_000)),
             "_fib_by_doubling": (lambda: fib(2, 2, 200_000).bit_length(), 138_849),
         }
         for path, (run, want) in paths.items():
@@ -124,11 +128,21 @@ class TestRecurrence:
             (2, 2, 200_000, "_fib_by_doubling"),
             (10, 3, 88_552, "_fib_by_doubling"),
             (14, 2, 32_738, "_fib_by_doubling"),
-            # window time over doubling time measured 0.68 and 0.71 here
-            (28, 3, 64_000, "deque"),
-            (32, 3, 128_000, "deque"),
-            # 0.47 here, past the fitted k; k**4 * log2(q)**2 / 20 would double
-            (40, 2, 130_000, "deque"),
+            # each side of max(16*k*(k+1), k**4 * log2(q) / 18): its first
+            # term at q = 2, 3, its second at q = 2, 3, 5
+            (8, 2, 1151, "_fib_by_zero_runs"),
+            (8, 2, 1152, "_fib_by_doubling"),
+            (12, 3, 2495, "_fib_by_zero_runs"),
+            (12, 3, 2496, "_fib_by_doubling"),
+            (40, 2, 142_222, "_fib_by_zero_runs"),
+            (40, 2, 142_223, "_fib_by_doubling"),
+            (24, 3, 29_214, "_fib_by_zero_runs"),
+            (24, 3, 29_215, "_fib_by_doubling"),
+            (20, 5, 20_639, "_fib_by_zero_runs"),
+            (20, 5, 20_640, "_fib_by_doubling"),
+            # doubling measured 1.4x and 2.5x faster than the sum here
+            (16, 5, 15_000, "_fib_by_doubling"),
+            (20, 5, 50_000, "_fib_by_doubling"),
         ],
     )
     def test_path_chosen_at_measured_lengths(self, monkeypatch, k, q, n, path):
@@ -141,7 +155,7 @@ class TestRecurrence:
 
             return raise_chosen
 
-        for name in ("_fib_by_zero_runs", "deque", "_fib_by_doubling"):
+        for name in ("_fib_by_zero_runs", "_fib_by_doubling"):
             monkeypatch.setattr(fibonacci, name, chosen(name))
         with pytest.raises(Chosen, match=path):
             fib(k, q, n)
@@ -170,11 +184,13 @@ class TestRecurrence:
         assert peak < 32 * sys.getsizeof(value)
 
     @pytest.mark.parametrize(
-        "k,q,n", [(2, 2, 200_000), (16, 5, 12_000), (16, 3, 4000)], ids=["doubling", "window", "zero-runs"]
+        "k,q,n",
+        [(2, 2, 200_000), (16, 5, 12_000), (16, 3, 4000)],
+        ids=["doubling", "doubling-k16", "zero-runs"],
     )
     def test_memory_per_path(self, k, q, n):
-        # O(k) values no larger than the result in the doubling and the
-        # window, a few of about its size in the zero-run sum
+        # O(k) values no larger than the result in the doubling, a few of
+        # about its size in the zero-run sum
         tracemalloc.start()
         try:
             value = fib(k, q, n)
@@ -357,6 +373,12 @@ class TestClosedForm:
         monkeypatch.setattr(fibonacci, "find_alpha", coarse_first)
         assert fib_closed_form(3, 2, 200) == fib(3, 2, 200)
         assert calls == [256, 512]
+
+    @pytest.mark.parametrize("bits", [0, -1])
+    def test_precision_below_double_rejected(self, bits):
+        # doubling from zero or below never reaches n's bits
+        with pytest.raises(ValueError, match="precision_bits must be >= 53"):
+            fib_closed_form(2, 2, 10, precision_bits=bits)
 
     def test_low_precision_escalates_not_wrong(self):
         # 53 bits cannot settle large n directly; escalation must still
