@@ -106,7 +106,7 @@ def asymptotic_probe(q: int, k_range, c: float | None = None) -> list[ProbeRow]:
     lengths = [(k, int(math.ceil(c * find_alpha(k, q).alpha ** k))) for k in k_range]
     for k, n in lengths:  # refuse before counting any k
         if n > PROBE_N_CAP:
-            raise CapacityError(f"n(k={k}) = {n} exceeds cap {PROBE_N_CAP}")
+            raise CapacityError(f"n(k={k}) has {len(str(n))} digits, exceeds cap {PROBE_N_CAP}")
     rows = []
     for k, n in lengths:
         size = size_formula(n, k, q)

@@ -18,7 +18,6 @@ from contextlib import contextmanager
 from datetime import datetime, timezone
 
 import click
-import mpmath
 
 from . import __version__
 from .bounds import asymptotic_probe, bounds_report, target_ratio, variance_formula
@@ -169,6 +168,7 @@ def fib_cmd(k, q, n):
 @click.option("--json", "as_json", is_flag=True)
 def alpha(k, q, bits, as_json):
     """Dominant root alpha(k, q) of the growth polynomial."""
+    import mpmath
     est = find_alpha(k, q, bits)
     digits = max(int(bits * math.log10(2)) - 2, 6)
     with mpmath.mp.workprec(bits + 16):

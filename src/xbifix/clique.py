@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .construction import best_size, generate_direct
 from .words import MAX_Q, CapacityError, Code, check_power_cap, verify_code
@@ -52,6 +53,7 @@ def _compatible(words: np.ndarray, n: int, q: int) -> Iterator[np.ndarray]:
     """Blocks of up to _ROW_BLOCK rows of the boolean adjacency matrix,
     True where two words are mutually cross-bifix-free, False on the
     diagonal."""
+    import numpy as np
     affixes = [(words // q ** (n - length), words % q**length) for length in range(1, n)]
     for start in range(0, len(words), _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
@@ -66,6 +68,7 @@ def _orbits(words: np.ndarray, n: int, q: int) -> tuple[int, ...]:
     """Per word, its orbit under reversal x S_q as a bitset over positions in words.
     Words share an orbit when they share a key: the smaller base-q value of the word
     and of its reverse, each with its symbols renamed 0, 1, ... in order of first use."""
+    import numpy as np
     powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
     both = np.concatenate([words[:, None] // powers % q, words[:, None] // powers[::-1] % q])
     first = np.full((len(both), q), n)  # each symbol's first position, n if unused
@@ -85,6 +88,7 @@ def build_graph(n: int, q: int) -> CompatGraph:
     xbifix.words), joined when mutually cross-bifix-free; no self-loops
     are stored.  The vertices are in search order: descending degree,
     then ascending value.  int64 is exact under the cap."""
+    import numpy as np
     if n < 1 or not 2 <= q <= MAX_Q:
         raise ValueError(f"need n >= 1 and 2 <= q <= {MAX_Q}, got n={n}, q={q}")
     check_power_cap(q, n, VERTEX_CAP * 8)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .fibonacci import fib
 from .words import Code, check_alphabet, check_power_cap
 
@@ -27,22 +25,17 @@ def validate_params(n: int, k: int, q: int) -> None:
 
 
 def generate_direct(n: int, k: int, q: int) -> Code:
-    """Enumerate the code by filtering all q**(n-k-2) interior windows.
-
-    The word 0^k alpha middle beta has the value alpha*q**(m+1) +
-    middle*q + beta, m = n-k-2, so alpha, middle, beta order ascends.
-    """
+    """Enumerate the code, q**(n-k-2) interior windows at most: words grow
+    from 0^k alpha a symbol at a time, kept apart by their count of
+    trailing zeros, which stays below k, and beta ends each one."""
     validate_params(n, k, q)
     check_alphabet(q)
-    m = n - k - 2
-    check_power_cap(q, m, ENUM_CAP, "q**(n-k-2)")
-    middles = np.arange(q**m, dtype=np.int64)
-    for shift in range(m - k + 1):
-        # drop middles whose symbols q**shift .. q**(shift+k-1) are all zero
-        middles = middles[middles // q**shift % q**k != 0]
-    nonzero = np.arange(1, q, dtype=np.int64)
-    values = nonzero[:, None, None] * q ** (m + 1) + middles[None, :, None] * q + nonzero
-    return Code(tuple(values.ravel().tolist()), n, q)
+    check_power_cap(q, n - k - 2, ENUM_CAP, "q**(n-k-2)")
+    runs = [list(range(1, q))] + [[] for _ in range(k - 1)]  # runs[t]: words ending in t zeros
+    for _ in range(n - k - 2):
+        shifted = [[v * q for v in level] for level in runs]
+        runs = [[v + s for s in range(1, q) for level in shifted for v in level]] + shifted[:-1]
+    return Code(tuple(sorted([v * q + s for s in range(1, q) for level in runs for v in level])), n, q)
 
 
 def size_formula(n: int, k: int, q: int) -> int:

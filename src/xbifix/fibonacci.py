@@ -26,9 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
+from typing import TYPE_CHECKING
 
-import mpmath
-from mpmath import mp
+if TYPE_CHECKING:
+    import mpmath
 
 DEFAULT_PRECISION_BITS = 128
 _NEWTON_STEPS = 64  # find_alpha needs about log2(precision_bits) steps, 17 up to 2**16 bits
@@ -142,6 +143,7 @@ def find_alpha(k: int, q: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> 
     and is widened within that bound until g(lo) < 0 < g(hi) holds in
     interval arithmetic; PrecisionError if it never does.
     """
+    from mpmath import iv, mp
     _check_kq(k, q)
     if precision_bits < 53:
         raise ValueError("precision_bits must be >= 53")
@@ -155,15 +157,15 @@ def find_alpha(k: int, q: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> 
             x -= step
             if abs(step) < width:
                 break
-        old_prec, mpmath.iv.prec = mpmath.iv.prec, bits
+        old_prec, iv.prec = iv.prec, bits
         try:
             for offset in (width / 16, width / 8, width / 4, width / 2):
                 lo, hi = max(x - offset, floor), min(x + offset, mp.mpf(q))
-                if g_poly(k, q, mpmath.iv.mpf(lo)).b < 0 < g_poly(k, q, mpmath.iv.mpf(hi)).a:
+                if g_poly(k, q, iv.mpf(lo)).b < 0 < g_poly(k, q, iv.mpf(hi)).a:
                     alpha = (lo + hi) / 2
                     return RootEstimate(alpha=alpha, lo=lo, hi=hi, precision_bits=precision_bits)
         finally:
-            mpmath.iv.prec = old_prec
+            iv.prec = old_prec
     raise PrecisionError(f"no certified bracket for k={k}, q={q} at {precision_bits} bits")
 
 
@@ -187,6 +189,7 @@ def beta_bracket(k: int, q: int, precision_bits: int = DEFAULT_PRECISION_BITS):
     Requires k >= kq_threshold(q) so that g is negative at the left end
     of the bracket.  Returns (beta, lower_bound).
     """
+    from mpmath import mp
     _check_kq(k, q)
     threshold = kq_threshold(q)
     if k < threshold:
@@ -228,6 +231,7 @@ def fib_closed_form(
     within (m - 1/2, m + 1/2) for one integer m, or the bits double.
     PrecisionError if that still fails at 64x the first pass's bits.
     """
+    from mpmath import iv, mp
     _check_kq(k, q, n)
     if precision_bits < 53:
         raise ValueError("precision_bits must be >= 53")
@@ -236,20 +240,20 @@ def fib_closed_form(
         bits *= 2
     last = bits * 64
     while bits <= last:
-        old_prec = mpmath.iv.prec
+        old_prec = iv.prec
         try:
-            mpmath.iv.prec = bits + 16
+            iv.prec = bits + 16
             est = find_alpha(k, q, bits)
-            a = mpmath.iv.mpf([est.lo, est.hi])
+            a = iv.mpf([est.lo, est.hi])
             value = (a - 1) * a ** (n + 1) / ((q + (k + 1) * (a - q)) * (q - 1))
             with mp.workprec(bits + 16):
                 lo_end, hi_end = mp.mpf(value.a), mp.mpf(value.b)
-                m = int(mpmath.floor(lo_end + mp.mpf("0.5")))
+                m = int(mp.floor(lo_end + mp.mpf("0.5")))
                 # 0.5 is exact in binary; strict containment certifies [x]
                 if lo_end > m - mp.mpf("0.5") and hi_end < m + mp.mpf("0.5"):
                     return m
         finally:
-            mpmath.iv.prec = old_prec
+            iv.prec = old_prec
         bits *= 2
     raise PrecisionError(
         f"could not certify rounding for k={k}, q={q}, n={n} up to {bits // 2} bits"
@@ -257,13 +261,14 @@ def fib_closed_form(
 
 
 def other_roots_inside_unit_disk(k: int, q: int, tol: float = 1e-8) -> bool:
-    """Numeric validation (not a proof) that f has exactly one root of
-    modulus > 1 and all k roots are pairwise distinct beyond `tol`."""
-    import numpy as np
-
+    """Certify that f has one root of modulus > 1, alpha, and k-1 simple
+    roots strictly inside the unit disk, exactly for every k; `tol` no
+    longer changes the answer.  Proof, on g(x) = (x-1)*f(x) = x**(k+1) -
+    q*x**k + (q-1): on |x| = 1+e, e > 0 small, q*x**k outweighs the rest
+    as k*(q-1) > 1, so by Rouche g has k roots in |x| <= 1 and one, real,
+    past x* below.  A root with |x| = 1 makes |x**(k+1) + q-1| <= q tight,
+    so x**(k+1) = 1 and g(x) = q*(1 - x**k) = 0: x = 1, and f(1) =
+    1 - (q-1)*k != 0.  g' vanishes only at 0 and at x* = qk/(k+1) > 1,
+    and g(x*) < g(1) = 0, so every root is simple."""
     _check_kq(k, q)
-    if k > 64:
-        raise ValueError(f"k={k} beyond the numeric root-finder range (64)")
-    roots = np.roots([1.0] + [-(q - 1.0)] * k)
-    gaps = np.abs(np.subtract.outer(roots, roots))[np.triu_indices(len(roots), 1)]
-    return len(roots) == k and int(np.sum(np.abs(roots) > 1.0)) == 1 and bool(np.all(gaps > tol))
+    return k * (q - 1) > 1 and g_poly(k, q, Fraction(q * k, k + 1)) < 0

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .words import CapacityError, Code, verify_code
 
@@ -75,7 +76,7 @@ def first_match_time(code: Code, stream: Iterable[int], cap: Optional[int] = Non
 
 def _windows(buf: np.ndarray, n: int, q: int) -> np.ndarray:
     """Base-q values of each row's length-n windows: ~2*log2(n) multiply-adds."""
-    win, size = buf.astype(np.int64), 1
+    win, size = buf.astype("int64"), 1
     for bit in bin(n)[3:]:
         win, size = win[:, :-size] * q**size + win[:, size:], 2 * size
         if bit == "1":
@@ -88,6 +89,7 @@ def match_times(cfg: SimConfig) -> np.ndarray:
     came first.  Unfinished trials advance together, `take` symbols a
     pass, in blocks of about _CELLS symbols that each draw one (rows, take)
     array; a row with no match carries its last n-1 symbols on."""
+    import numpy as np
     n, q, cap = cfg.code.n, cfg.code.q, cfg.max_stream
     targets = np.asarray(cfg.code.values, dtype=np.int64)
     padded = np.append(targets, -1)  # no window is -1

@@ -21,9 +21,8 @@ function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator, Optional
-
-import numpy as np
 
 DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 MAX_Q = len(DIGITS)  # words serialize as single base-36 digits
@@ -244,6 +243,7 @@ def find_expansion(code: Code) -> Optional[Word]:
     check_power_cap(q, n, NONEXPANDABLE_CAP)
     if not verify_code(code):
         raise ValueError("code is not cross-bifix-free")
+    import numpy as np  # after the guards: a refused scan loads no numpy
     members = np.array(code.values, dtype=np.int64)
     pools = [
         (np.unique(members // q ** (n - length)), np.unique(members % q**length))
@@ -273,10 +273,16 @@ def is_nonexpandable(code: Code) -> bool:
 # line, lexicographically sorted, LF line endings.
 
 def format_code(code: Code) -> str:
+    """Words go h digits at a time through a table of all h-digit strings."""
     n, q = code.n, code.q
-    lines = [f"# xbifix code n={n} q={q}"]
-    lines.extend(np.base_repr(v, q).lower().zfill(n) for v in code.values)
-    return "\n".join(lines) + "\n"
+    h = max(h for h in range(1, 13) if q**h <= 1 << 12)
+    base, table = q**h, ["".join(t) for t in product(DIGITS[:q], repeat=h)]
+    chunks, columns, rest = -(-n // h), [], code.values
+    for _ in range(chunks):  # least significant chunk first
+        columns.append([table[v % base] for v in rest])
+        rest = [v // base for v in rest]
+    words = ("".join(parts)[chunks * h - n:] for parts in zip(*reversed(columns)))
+    return "\n".join([f"# xbifix code n={n} q={q}", *words]) + "\n"
 
 
 def parse_code(text: str) -> Code:

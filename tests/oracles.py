@@ -100,6 +100,28 @@ def naive_fib_mod(k: int, q: int, n: int, p: int) -> int:
     return values[min(n, k - 1)]
 
 
+def numeric_roots_inside_unit_disk(k: int, q: int, tol: float = 1e-8) -> bool:
+    """Numeric validation (not a proof) that f(x) = x**k - (q-1)*(x**(k-1) +
+    ... + 1) has exactly one root of modulus > 1 and all k roots pairwise
+    distinct beyond `tol`, from numpy's companion-matrix eigenvalues; an
+    oracle for fibonacci.other_roots_inside_unit_disk at moderate k."""
+    import numpy as np
+
+    roots = np.roots([1.0] + [-(q - 1.0)] * k)
+    gaps = np.abs(np.subtract.outer(roots, roots))[np.triu_indices(len(roots), 1)]
+    return len(roots) == k and int(np.sum(np.abs(roots) > 1.0)) == 1 and bool(np.all(gaps > tol))
+
+
+def digits_oracle(value: int, n: int, q: int) -> str:
+    """The length-n base-q digits of value, most significant first, one
+    divmod per symbol: an oracle for words.format_code."""
+    symbols = []
+    for _ in range(n):
+        value, s = divmod(value, q)
+        symbols.append("0123456789abcdefghijklmnopqrstuvwxyz"[s])
+    return "".join(reversed(symbols))
+
+
 def all_words(n: int, q: int):
     for t in itertools.product(range(q), repeat=n):
         yield Word(t, q)

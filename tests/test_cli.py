@@ -1,6 +1,8 @@
 import hashlib
 import importlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -384,6 +386,7 @@ class TestErrors:
             (["probe", "--k-max", "5", "--c", "1e400"], 2),
             (["probe", "--k-max", "5", "--c", "nan"], 2),
             (["probe", "--q", "1", "--k-max", "5"], 2),
+            (["probe", "--k-max", "5", "--c", "1e300"], 3),
             (["clique", "--n", "6", "--budget", "0"], 2),
             (["clique", "--n", "11", "--budget", "nan"], 2),
             (["clique", "--n", "4", "--q", "1"], 2),
@@ -412,3 +415,61 @@ class TestErrors:
         assert "Traceback" not in result.output
         if "40" in args and "--long" not in args:
             assert result.stderr == "usage: alphabet size must be in [2, 36], got 40\n"
+        if "1e300" in args:  # the refused length is named, not printed
+            assert result.stderr == "capacity: n(k=4) has 302 digits, exceeds cap 200000\n"
+
+
+# Runs the command line in a fresh interpreter, then prints which of the
+# heavy libraries it loaded: the commands below must not pay for them.
+_LOADED = """
+import json, sys
+import xbifix.cli
+if sys.argv[1:]:
+    try:
+        xbifix.cli.main(sys.argv[1:], prog_name="xbifix")
+    except SystemExit as exc:
+        print("exit", exc.code)
+print(json.dumps([m for m in ("numpy", "mpmath") if m in sys.modules]))
+"""
+
+
+def _fresh_run(*args):
+    """(stdout lines before the report, libraries loaded) of one command
+    in a new interpreter that imports the package from the source tree."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED, *args],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.returncode == 0, proc.stderr
+    *output, loaded = proc.stdout.splitlines()
+    return output, json.loads(loaded)
+
+
+class TestImportCost:
+    def test_import_loads_neither_library(self):
+        assert _fresh_run() == ([], [])
+
+    def test_version_loads_neither_library(self):
+        output, loaded = _fresh_run("--version")
+        assert "version" in output[0] and output[-1] == "exit 0"
+        assert loaded == []
+
+    def test_gen_and_verify_too_large_load_neither_library(self, tmp_path):
+        out = tmp_path / "c.txt"
+        output, loaded = _fresh_run("gen", "--n", "16", "--k", "5", "--q", "3", "--out", str(out))
+        assert output == [f"wrote 77544 words to {out}", "exit 0"]
+        assert loaded == []
+        assert out.read_text() == format_code(generate_direct(16, 5, 3))
+        # q**n is past the expansion scan's cap, so the scan never starts
+        output, loaded = _fresh_run("verify", str(out))
+        verdict = "cross-bifix-free: yes; nonexpandable: not checked (instance too large)"
+        assert (output, loaded) == ([verdict, "exit 0"], [])
+
+    def test_alpha_loads_mpmath_when_it_runs(self, runner):
+        output, loaded = _fresh_run("alpha", "--k", "3", "--q", "2")
+        assert output == ["1.8392867552141611325518525646532866", "exit 0"]
+        assert "mpmath" in loaded and "numpy" not in loaded
+        assert runner.invoke(main, ["alpha", "--k", "3", "--q", "2"]).stdout == output[0] + "\n"

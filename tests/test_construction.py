@@ -1,9 +1,9 @@
 import pytest
 
 from xbifix.construction import best_size, generate_direct, size_formula
-from xbifix.words import CapacityError, Word, is_nonexpandable, verify_code
+from xbifix.words import CapacityError, Word, format_code, is_nonexpandable, verify_code
 
-from oracles import generate_recursive, naive_fib_list
+from oracles import digits_oracle, generate_recursive, naive_fib_list
 
 # published size table for the binary alphabet: n -> (S(n,2), best k)
 TABLE = {
@@ -69,14 +69,24 @@ class TestGenerateDirect:
             generate_direct(20000, 2, 2)
 
 
+def oracle_file_text(n, k, q):
+    """The code file of S_{k,q}(n) from the recursive generator and a
+    formatter that takes one divmod per symbol."""
+    words = [digits_oracle(v, n, q) for v in generate_recursive(n, k, q).values]
+    return "".join(line + "\n" for line in [f"# xbifix code n={n} q={q}", *words])
+
+
 class TestGeneratorEquivalence:
     @pytest.mark.parametrize("q", [2, 3])
     def test_direct_equals_recursive(self, q):
+        # the written file, byte for byte, so the words and their order too
         for n in range(4, 13):
             for k in valid_ks(n):
-                direct = generate_direct(n, k, q)
-                recursive = generate_recursive(n, k, q)
-                assert direct.words == recursive.words, (n, k, q)
+                assert format_code(generate_direct(n, k, q)) == oracle_file_text(n, k, q), (n, k, q)
+
+    @pytest.mark.parametrize("n, k, q", [(24, 4, 2), (16, 5, 3)])
+    def test_large_file_equals_recursive(self, n, k, q):
+        assert format_code(generate_direct(n, k, q)) == oracle_file_text(n, k, q)
 
     def test_recursion_boundary_case(self):
         # n = 2k+2 decomposes into k disjoint parts of sizes S(n-1)... S(n-k)

@@ -20,7 +20,7 @@ from xbifix.fibonacci import (
     other_roots_inside_unit_disk,
 )
 
-from oracles import naive_fib, naive_fib_list, naive_fib_mod
+from oracles import naive_fib, naive_fib_list, naive_fib_mod, numeric_roots_inside_unit_disk
 
 LARGE_N = [(3, 2, 3000), (10, 3, 2000), (3, 2, 40)]
 
@@ -392,10 +392,14 @@ class TestRoots:
         assert other_roots_inside_unit_disk(k, q)
 
     def test_sweep(self):
+        # the exact certificate agrees with numpy's eigenvalues wherever
+        # those resolve every root
         for q in (2, 3, 5):
             for k in range(2, 41):
-                assert other_roots_inside_unit_disk(k, q), (k, q)
+                assert other_roots_inside_unit_disk(k, q) is True, (k, q)
+                assert numeric_roots_inside_unit_disk(k, q), (k, q)
 
     def test_k_cap(self):
-        with pytest.raises(ValueError):
-            other_roots_inside_unit_disk(65, 2)
+        # no root-finder range: the certificate is exact at any k
+        assert other_roots_inside_unit_disk(65, 2) is True
+        assert other_roots_inside_unit_disk(10_000, 2, tol=0.5) is True
