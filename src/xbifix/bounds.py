@@ -103,7 +103,9 @@ def asymptotic_probe(q: int, k_range, c: float | None = None) -> list[ProbeRow]:
         c = q / (q - 1)
     if not (math.isfinite(c) and c > 0):
         raise ValueError(f"c must be finite and positive, got {c}")
-    lengths = [(k, int(math.ceil(c * find_alpha(k, q).alpha ** k))) for k in k_range]
+    # the ceiling taken on the mpf itself: c * alpha**k can pass the float range
+    reals = [(k, c * find_alpha(k, q).alpha ** k) for k in k_range]
+    lengths = [(k, int(x) + (int(x) < x)) for k, x in reals]
     for k, n in lengths:  # refuse before counting any k
         if n > PROBE_N_CAP:
             raise CapacityError(f"n(k={k}) has {len(str(n))} digits, exceeds cap {PROBE_N_CAP}")

@@ -387,6 +387,7 @@ class TestErrors:
             (["probe", "--k-max", "5", "--c", "nan"], 2),
             (["probe", "--q", "1", "--k-max", "5"], 2),
             (["probe", "--k-max", "5", "--c", "1e300"], 3),
+            (["probe", "--k-min", "1100", "--k-max", "1100"], 3),  # n(k) past the float range
             (["clique", "--n", "6", "--budget", "0"], 2),
             (["clique", "--n", "11", "--budget", "nan"], 2),
             (["clique", "--n", "4", "--q", "1"], 2),

@@ -1,12 +1,13 @@
 import functools
 import itertools
 import operator
+import random
 
 import numpy as np
 import pytest
 
 from xbifix import clique
-from xbifix.clique import build_graph, max_clique
+from xbifix.clique import CompatGraph, build_graph, max_clique
 from xbifix.construction import best_size
 from xbifix.words import CapacityError, Word, cross_pair_ok, is_bifix_free, verify_code
 
@@ -54,6 +55,28 @@ def vertex_map(graph, f):
         index[Word(f(Word.from_value(v, graph.n, graph.q).symbols), graph.q).to_value()]
         for v in graph.vertices
     ]
+
+
+def random_graph(seed):
+    """A seeded random graph, 20 to 60 vertices at edge density 0.3 to 0.9,
+    each vertex its own orbit.  Vertex i holds the value i, so a witness
+    lists its vertices; n=3, q=4 leave the search unseeded."""
+    rng = random.Random(seed)
+    size, density = rng.randint(20, 60), rng.uniform(0.3, 0.9)
+    adjacency = [0] * size
+    for i, j in itertools.combinations(range(size), 2):
+        if rng.random() < density:
+            adjacency[i] |= 1 << j
+            adjacency[j] |= 1 << i
+    return CompatGraph(3, 4, tuple(range(size)), tuple(adjacency), tuple(1 << i for i in range(size)))
+
+
+def networkx_clique_number(graph):
+    nx = pytest.importorskip("networkx")
+    g = nx.Graph()
+    g.add_nodes_from(range(len(graph.vertices)))
+    g.add_edges_from((i, j) for i, a in enumerate(graph.adjacency) for j in range(i) if a >> j & 1)
+    return nx.max_weight_clique(g, weight=None)[1]
 
 
 def dense(graph):
@@ -166,13 +189,15 @@ class TestMaxClique:
         with pytest.raises(RuntimeError):
             max_clique(build_graph(6, 2))
 
-    @pytest.mark.parametrize("n", range(3, 11))
+    @pytest.mark.parametrize("n", range(3, 13))
     def test_known_optima(self, n):
         result = max_clique(build_graph(n, 2))
         assert result.optimal
         assert result.size == OPTIMAL[n]
         assert verify_code(result.witness)
         assert len(result.witness) == result.size
+        if n == 12:  # 778 nodes with Re-NUMBER, 5,990 with greedy colouring alone
+            assert result.nodes_explored <= 1000
 
     @pytest.mark.parametrize(
         "q,n", [(q, n) for q, row in OPTIMAL_Q.items() for n in row]
@@ -187,15 +212,20 @@ class TestMaxClique:
         "q,n", [(2, n) for n in range(3, 11)] + [(3, n) for n in range(3, 7)] + [(4, 3), (4, 4)]
     )
     def test_networkx_agreement(self, q, n):
-        nx = pytest.importorskip("networkx")
         g = build_graph(n, q)
-        graph = nx.Graph()
-        graph.add_nodes_from(range(len(g.vertices)))
-        graph.add_edges_from(
-            (i, j) for i, a in enumerate(g.adjacency) for j in range(i) if a >> j & 1
-        )
-        _, size = nx.max_weight_clique(graph, weight=None)
-        assert max_clique(g).size == size
+        assert max_clique(g).size == networkx_clique_number(g)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_random_graphs_match_networkx(self, seed, monkeypatch):
+        # graphs the bifix structure never produces, for both Re-NUMBER moves;
+        # their witnesses are no codes, so only the clique property is checked
+        g = random_graph(seed)
+        monkeypatch.setattr("xbifix.clique.verify_code", lambda code: True)
+        result = max_clique(g)
+        assert result.optimal
+        assert result.size == len(result.witness) == networkx_clique_number(g)
+        for u, v in itertools.combinations(result.witness.values, 2):
+            assert g.adjacency[u] >> v & 1
 
     @pytest.mark.parametrize("budget", [0, -1.0, float("nan")])
     def test_budget_must_be_positive(self, budget):
