@@ -108,7 +108,7 @@ def asymptotic_probe(q: int, k_range, c: float | None = None) -> list[ProbeRow]:
     lengths = [(k, int(x) + (int(x) < x)) for k, x in reals]
     for k, n in lengths:  # refuse before counting any k
         if n > PROBE_N_CAP:
-            raise CapacityError(f"n(k={k}) has {len(str(n))} digits, exceeds cap {PROBE_N_CAP}")
+            raise CapacityError(f"n(k={k}) has {n.bit_length()} bits, exceeds cap {PROBE_N_CAP}")
     rows = []
     for k, n in lengths:
         size = size_formula(n, k, q)

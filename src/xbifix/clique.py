@@ -1,19 +1,26 @@
 """Exact maximum-clique search over the compatibility graph of
 bifix-free words, giving the true maximum code size for small lengths.
 
-Vertices are the bifix-free words of length n, as base-q values in
-descending-degree order; an edge joins two words that are mutually
-cross-bifix-free.  The solver is a branch-and-bound over bitset candidate
-sets, seeded from n = 4 on with the constructed code.  Its upper bounds
-come from a greedy coloring built one class at a time (as in BBMC, San
-Segundo et al. 2011); only vertices in classes that can still beat the
-incumbent are branched on, and each of those first tries to move into a
-lower class, directly or by a swap with its one neighbour there
-(Re-NUMBER, from Tomita et al.'s MCS, WALCOM 2010).  Reversal and symbol
-permutations map the graph onto itself, so the root branches on one word
-per orbit (orbital branching): a word tried there takes its whole orbit
-out of the root's candidates.  C(12,2) = 81 certifies in 778 nodes (5,990
-without Re-NUMBER), C(13,2) = 149 in 42,141.
+In a cross-bifix-free code the first symbols and the last symbols form
+disjoint sets I and J, as a length-1 prefix may not equal a length-1
+suffix.  Symbol renaming (I = {0..s-1}) and word reversal (s <= q/2) send
+codes to codes, so from n = 2 on the optimum is the largest clique among
+the words that start below s and end at s or above, s = 1..q//2.  For
+q = 2 and n >= 3, either no word starts or no word ends with 01, and
+reverse-complement swaps the two, so the words 00...1 are enough.  (n = 1
+keeps all q words: it has no proper prefix.  The 00 step needs n >= 3: at
+n = 2 it would leave no word, while C(2,2) = 1.)  The graph joins mutually
+cross-bifix-free words in the disjoint union of these sets, s = 1 first,
+each in descending-degree order; a word may lie in two.
+
+The solver is a branch-and-bound over bitset candidate sets, seeded from
+n = 4 on with the constructed code, which lies in the s = 1 set.  Its upper
+bounds come from a greedy coloring built one class at a time (as in BBMC,
+San Segundo et al. 2011); only vertices in classes that can still beat
+the incumbent are branched on, and each of those first tries to move into
+a lower class, directly or by a swap with its one neighbour there
+(Re-NUMBER, from Tomita et al.'s MCS, WALCOM 2010).  C(12,2) = 81
+certifies in 29 nodes, C(13,2) = 149 in 111 and C(6,4) = 251 in 268.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ if TYPE_CHECKING:
 from .construction import best_size, generate_direct
 from .words import MAX_Q, CapacityError, Code, check_power_cap, verify_code
 
-VERTEX_CAP = 2**16  # bifix-free words build_graph takes as vertices at most
+VERTEX_CAP = 2**16  # bifix-free words, and vertices built from them, build_graph takes at most
 _ROW_BLOCK = 256  # graph-build rows per step; bounds memory to 256 x V booleans
 
 
@@ -40,7 +47,6 @@ class CompatGraph:
     q: int
     vertices: tuple[int, ...]
     adjacency: tuple[int, ...]
-    orbits: tuple[int, ...]  # per vertex, its orbit under reversal x S_q as a bitset
 
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.adjacency) // 2
@@ -70,39 +76,10 @@ def _compatible(words: np.ndarray, n: int, q: int) -> Iterator[np.ndarray]:
         yield ok
 
 
-def _orbits(words: np.ndarray, n: int, q: int) -> tuple[int, ...]:
-    """Per word, its orbit under reversal x S_q as a bitset over positions in words.
-    Words share an orbit when they share a key: the smaller base-q value of the word
-    and of its reverse, each with its symbols renamed 0, 1, ... in order of first use."""
+def _component(words: np.ndarray, n: int, q: int) -> tuple[list[int], list[int]]:
+    """The words in search order, descending degree then ascending value,
+    and per word its bitset of neighbours in that order."""
     import numpy as np
-    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    both = np.concatenate([words[:, None] // powers % q, words[:, None] // powers[::-1] % q])
-    first = np.full((len(both), q), n)  # each symbol's first position, n if unused
-    for j in range(n - 1, -1, -1):
-        first[np.arange(len(both)), both[:, j]] = j
-    rank = np.argsort(np.argsort(first, axis=1, kind="stable"), axis=1, kind="stable")
-    key = np.take_along_axis(rank, both, axis=1) @ powers
-    keys = np.minimum(key[: len(words)], key[len(words) :]).tolist()
-    bits: dict[int, int] = {}
-    for i, k in enumerate(keys):
-        bits[k] = bits.get(k, 0) | 1 << i
-    return tuple(bits[k] for k in keys)
-
-
-def build_graph(n: int, q: int) -> CompatGraph:
-    """All bifix-free words of length n over Z_q, as base-q values (see
-    xbifix.words), joined when mutually cross-bifix-free; no self-loops
-    are stored.  The vertices are in search order: descending degree,
-    then ascending value.  int64 is exact under the cap."""
-    import numpy as np
-    if n < 1 or not 2 <= q <= MAX_Q:
-        raise ValueError(f"need n >= 1 and 2 <= q <= {MAX_Q}, got n={n}, q={q}")
-    check_power_cap(q, n, VERTEX_CAP * 8)
-    words = np.arange(q**n, dtype=np.int64)
-    for length in range(1, n):
-        words = words[words // q ** (n - length) != words % q**length]
-    if len(words) > VERTEX_CAP:
-        raise CapacityError(f"{len(words)} vertices exceed cap {VERTEX_CAP}")
     degree, packed = [], []
     for ok in _compatible(words, n, q):
         degree.append(ok.sum(axis=1))
@@ -119,8 +96,34 @@ def build_graph(n: int, q: int) -> CompatGraph:
         # row i as an int whose bit j is the edge to vertex j
         block = np.packbits(ok, axis=1, bitorder="little")
         adjacency.extend(int.from_bytes(row.tobytes(), "little") for row in block)
-    words = words[order]
-    return CompatGraph(n, q, tuple(words.tolist()), tuple(adjacency), _orbits(words, n, q))
+    return words[order].tolist(), adjacency
+
+
+def build_graph(n: int, q: int) -> CompatGraph:
+    """The split graph of the module docstring over the length-n words of
+    Z_q, as base-q values (see xbifix.words), with no self-loops stored.
+    int64 is exact under the cap."""
+    import numpy as np
+    if n < 1 or not 2 <= q <= MAX_Q:
+        raise ValueError(f"need n >= 1 and 2 <= q <= {MAX_Q}, got n={n}, q={q}")
+    check_power_cap(q, n, VERTEX_CAP * 8)
+    words = np.arange(q**n, dtype=np.int64)
+    for length in range(1, n):
+        words = words[words // q ** (n - length) != words % q**length]
+    parts = [words]
+    if n >= 2:
+        head = 2 if q == 2 and n >= 3 else 1  # length of the prefix that must lie below s
+        first, last = words // q ** (n - head), words % q
+        parts = [words[(first < s) & (last >= s)] for s in range(1, q // 2 + 1)]
+    size = max(len(words), sum(map(len, parts)))  # the words filtered, the vertices built
+    if size > VERTEX_CAP:
+        raise CapacityError(f"{size} vertices exceed cap {VERTEX_CAP}")
+    vertices, adjacency = [], []
+    for part in parts:
+        values, rows = _component(part, n, q)
+        adjacency.extend(row << len(vertices) for row in rows)
+        vertices.extend(values)
+    return CompatGraph(n, q, tuple(vertices), tuple(adjacency))
 
 
 def _seed_clique(graph: CompatGraph) -> list[int]:
@@ -129,7 +132,7 @@ def _seed_clique(graph: CompatGraph) -> list[int]:
     if graph.n < 4:
         return []
     code = generate_direct(graph.n, best_size(graph.n, graph.q).best_k, graph.q)
-    index = {v: i for i, v in enumerate(graph.vertices)}
+    index = {v: i for i, v in reversed(list(enumerate(graph.vertices)))}  # first copies, s = 1
     return [index[v] for v in code.values]
 
 
@@ -144,7 +147,7 @@ def max_clique(graph: CompatGraph, time_budget: float | None = None) -> CliqueRe
         raise ValueError("time_budget must be positive")
     start = time.monotonic()
     deadline = None if time_budget is None else start + time_budget
-    adj, orbits = graph.adjacency, graph.orbits
+    adj = graph.adjacency
     best = _seed_clique(graph)
     nodes = 0
     out_of_budget = False
@@ -210,8 +213,6 @@ def max_clique(graph: CompatGraph, time_budget: float | None = None) -> CliqueRe
                     return
                 v = members.bit_length() - 1
                 members ^= 1 << v
-                if not candidates >> v & 1:
-                    continue  # at the root, in the orbit of a word already tried
                 clique.append(v)
                 rest = candidates & adj[v]
                 if rest:
@@ -219,8 +220,7 @@ def max_clique(graph: CompatGraph, time_budget: float | None = None) -> CliqueRe
                 elif len(clique) > len(best):
                     best = clique.copy()
                 clique.pop()
-                # the root's candidates stay a union of orbits, deeper ones need not
-                candidates &= ~(1 << v if clique else orbits[v])
+                candidates ^= 1 << v
                 if out_of_budget:
                     return
 

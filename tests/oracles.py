@@ -49,6 +49,20 @@ def naive_is_nonexpandable(code: Code) -> bool:
     return True
 
 
+def full_compatibility_graph(n: int, q: int) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
+    """All bifix-free words of length n over Z_q, as symbol tuples, and the
+    index pairs of the mutually cross-bifix-free ones: the whole graph the
+    clique search's split restricts, built from the definitions."""
+    words = [t for t in itertools.product(range(q), repeat=n) if naive_is_bifix_free(t)]
+    edges = [
+        (i, j)
+        for i, u in enumerate(words)
+        for j in range(i)
+        if naive_cross_pair_ok(u, words[j])
+    ]
+    return words, edges
+
+
 def naive_first_match_time(code: Code, stream: list[int]) -> int | None:
     words = {w.symbols for w in code.words}
     n = code.n

@@ -136,6 +136,14 @@ class TestProbe:
             # n(18) = 524,270, past PROBE_N_CAP = 200,000
             asymptotic_probe(2, [18])
 
+    def test_huge_length_refused_without_str(self):
+        # n(20000) has over 4,300 decimal digits, the interpreter's default
+        # limit for int-to-str; the refusal names its bit length instead
+        from xbifix.words import CapacityError
+
+        with pytest.raises(CapacityError, match="n\\(k=20000\\) has 20002 bits"):
+            asymptotic_probe(2, [20000])
+
     def test_capped_range_refused_before_counting(self, monkeypatch):
         # n(15) and n(16) are under the cap, n(17) = 262,127 is not: no
         # size is counted before the refusal

@@ -417,7 +417,7 @@ class TestErrors:
         if "40" in args and "--long" not in args:
             assert result.stderr == "usage: alphabet size must be in [2, 36], got 40\n"
         if "1e300" in args:  # the refused length is named, not printed
-            assert result.stderr == "capacity: n(k=4) has 302 digits, exceeds cap 200000\n"
+            assert result.stderr == "capacity: n(k=4) has 1001 bits, exceeds cap 200000\n"
 
 
 # Runs the command line in a fresh interpreter, then prints which of the

@@ -1,6 +1,4 @@
-import functools
 import itertools
-import operator
 import random
 
 import numpy as np
@@ -11,12 +9,15 @@ from xbifix.clique import CompatGraph, build_graph, max_clique
 from xbifix.construction import best_size
 from xbifix.words import CapacityError, Word, cross_pair_ok, is_bifix_free, verify_code
 
-from oracles import all_words, naive_cross_pair_ok
+from oracles import all_words, full_compatibility_graph, naive_cross_pair_ok
 
-# published exact optima for the binary alphabet (bold table entries)
-OPTIMAL = {3: 1, 4: 1, 5: 2, 6: 3, 7: 5, 8: 8, 9: 14, 10: 24, 11: 44, 12: 81}
+# published exact optima for the binary alphabet (bold table entries), and
+# C(13,2) as the search certifies it
+OPTIMAL = {3: 1, 4: 1, 5: 2, 6: 3, 7: 5, 8: 8, 9: 14, 10: 24, 11: 44, 12: 81, 13: 149}
 # exact optima for q = 3 and 4, as the search certifies them
-OPTIMAL_Q = {3: {3: 4, 4: 8, 5: 17, 6: 41, 7: 99}, 4: {3: 9, 4: 27, 5: 81}}
+OPTIMAL_Q = {3: {3: 4, 4: 8, 5: 17, 6: 41, 7: 99}, 4: {3: 9, 4: 27, 5: 81, 6: 251}}
+# search nodes allowed, (n, q): 29, 111 and 268 measured with the split graph
+NODE_CEILING = {(12, 2): 100, (13, 2): 200, (6, 4): 400}
 
 
 def brute_force_max_clique(n, q):
@@ -48,35 +49,54 @@ def generators(q):
     }
 
 
-def vertex_map(graph, f):
-    """The vertex permutation that f induces; KeyError if f leaves the vertices."""
-    index = {v: i for i, v in enumerate(graph.vertices)}
+def vertex_map(words, f):
+    """The permutation of the symbol tuples in words that f induces;
+    KeyError if f leaves them."""
+    index = {w: i for i, w in enumerate(words)}
+    return [index[f(w)] for w in words]
+
+
+def random_graph(seed, clique=0, size=None, density=None):
+    """A seeded random graph, 20 to 60 vertices at edge density 0.3 to 0.9
+    unless given, whose first `clique` vertices are joined to every vertex.
+    Vertex i holds the value i, so a witness lists its vertices; n=3 leaves
+    the search unseeded, and q=16 takes values up to 4,095."""
+    rng = random.Random(seed)
+    size = size or rng.randint(20, 60)
+    density = density or rng.uniform(0.3, 0.9)
+    adjacency = [0] * size
+    for i, j in itertools.combinations(range(size), 2):
+        if i < clique or rng.random() < density:
+            adjacency[i] |= 1 << j
+            adjacency[j] |= 1 << i
+    return CompatGraph(3, 16, tuple(range(size)), tuple(adjacency))
+
+
+def networkx_clique_number(vertices, edges):
+    nx = pytest.importorskip("networkx")
+    g = nx.Graph()
+    g.add_nodes_from(range(vertices))
+    g.add_edges_from(edges)
+    return nx.max_weight_clique(g, weight=None)[1]
+
+
+def split_sets(n, q):
+    """Per component of build_graph(n, q), its set of words as digit strings,
+    from the definitions: the bifix-free words that start below s and end at
+    s or above, s = 1..q//2; for q = 2 and n >= 3, those that start with 00."""
+    words = [w.to_digits() for w in all_words(n, q) if is_bifix_free(w)]
+    if n == 1:
+        return [set(words)]
+    head = 2 if q == 2 and n >= 3 else 1
     return [
-        index[Word(f(Word.from_value(v, graph.n, graph.q).symbols), graph.q).to_value()]
-        for v in graph.vertices
+        {w for w in words if int(w[:head], q) < s <= int(w[-1], q)} for s in range(1, q // 2 + 1)
     ]
 
 
-def random_graph(seed):
-    """A seeded random graph, 20 to 60 vertices at edge density 0.3 to 0.9,
-    each vertex its own orbit.  Vertex i holds the value i, so a witness
-    lists its vertices; n=3, q=4 leave the search unseeded."""
-    rng = random.Random(seed)
-    size, density = rng.randint(20, 60), rng.uniform(0.3, 0.9)
-    adjacency = [0] * size
-    for i, j in itertools.combinations(range(size), 2):
-        if rng.random() < density:
-            adjacency[i] |= 1 << j
-            adjacency[j] |= 1 << i
-    return CompatGraph(3, 4, tuple(range(size)), tuple(adjacency), tuple(1 << i for i in range(size)))
-
-
-def networkx_clique_number(graph):
-    nx = pytest.importorskip("networkx")
-    g = nx.Graph()
-    g.add_nodes_from(range(len(graph.vertices)))
-    g.add_edges_from((i, j) for i, a in enumerate(graph.adjacency) for j in range(i) if a >> j & 1)
-    return nx.max_weight_clique(g, weight=None)[1]
+def components(graph):
+    """The index ranges of build_graph's components, from the split sets."""
+    bounds = itertools.accumulate(len(c) for c in split_sets(graph.n, graph.q))
+    return [range(a, b) for a, b in itertools.pairwise(itertools.chain([0], bounds))]
 
 
 def dense(graph):
@@ -90,11 +110,33 @@ def dense(graph):
 
 class TestBuildGraph:
     def test_vertex_counts(self):
-        assert len(build_graph(4, 2).vertices) == 6
-        # vertices are exactly the bifix-free words
-        g = build_graph(3, 2)
-        expected = {w.to_value() for w in all_words(3, 2) if is_bifix_free(w)}
-        assert set(g.vertices) == expected
+        # q=2 keeps the bifix-free words 00...1 from n=3 on, n=2 the word 01
+        # that starts below 1 and ends at 1, and n=1 every word
+        def digits(n, q):
+            return sorted(Word.from_value(v, n, q).to_digits() for v in build_graph(n, q).vertices)
+
+        assert digits(4, 2) == ["0001", "0011"]
+        assert digits(3, 2) == ["001"]
+        assert digits(2, 2) == ["01"]
+        assert digits(1, 2) == ["0", "1"]
+        # q=4, n=2: s=1 gives 01, 02, 03 and s=2 gives 02, 03, 12, 13
+        assert digits(2, 4) == ["01", "02", "02", "03", "03", "12", "13"]
+
+    @pytest.mark.parametrize(
+        "n,q", [(1, 3), (2, 3), (7, 2), (4, 3), (2, 5), (4, 4), (3, 6), (3, 7)]
+    )
+    def test_components(self, n, q):
+        # the components follow one another by s, each exactly its split set,
+        # and no edge joins two of them
+        g = build_graph(n, q)
+        parts = components(g)
+        assert len(parts) == (1 if n == 1 else q // 2)
+        assert parts[-1].stop == len(g.vertices)
+        for part, expected in zip(parts, split_sets(n, q)):
+            words = [Word.from_value(g.vertices[i], n, q).to_digits() for i in part]
+            assert len(words) == len(set(words)) and set(words) == expected
+            outside = sum(1 << i for i in range(len(g.vertices)) if i not in part)
+            assert not any(g.adjacency[i] & outside for i in part)
 
     def test_edges_match_pair_predicate(self):
         g = build_graph(5, 2)
@@ -106,24 +148,42 @@ class TestBuildGraph:
                 else:
                     assert edge == cross_pair_ok(Word.from_value(u, 5, 2), Word.from_value(v, 5, 2))
 
-    @pytest.mark.parametrize("n,q", [(12, 2), (7, 3), (5, 4)])
+    @pytest.mark.parametrize("n,q", [(13, 2), (12, 2), (7, 3), (5, 4), (6, 4)])
     def test_one_compatibility_pass(self, n, q, monkeypatch):
-        # degrees and bitsets come from one pass in value order, permuted
-        # block by block; the result must be the matrix of the search order
+        # degrees and bitsets come from one pass per component in value
+        # order, permuted block by block; each component's block must be the
+        # matrix of its search order, the rest of the matrix empty.  Below
+        # n = 13 the components are smaller, and 64-row blocks give the
+        # largest of them more than two.
+        if n < 13:
+            monkeypatch.setattr(clique, "_ROW_BLOCK", 64)
         compatible, calls = clique._compatible, []
         monkeypatch.setattr(clique, "_compatible", lambda *a: calls.append(a) or compatible(*a))
         g = build_graph(n, q)
-        assert len(calls) == 1
-        direct = np.concatenate(list(compatible(np.array(g.vertices), n, q)))
-        assert len(g.vertices) > 2 * clique._ROW_BLOCK
-        assert (dense(g) == direct).all()
+        parts = components(g)
+        assert len(calls) == len(parts) == q // 2
+        assert max(map(len, parts)) > 2 * clique._ROW_BLOCK
+        expected = np.zeros((len(g.vertices),) * 2, dtype=bool)
+        for part in parts:
+            values = np.array(g.vertices[part.start : part.stop])
+            expected[part.start : part.stop, part.start : part.stop] = np.concatenate(
+                list(compatible(values, n, q))
+            )
+        assert (dense(g) == expected).all()
 
-    @pytest.mark.parametrize("n,q", [(8, 2), (5, 3)])
+    @pytest.mark.parametrize("n,q", [(8, 2), (5, 3), (4, 4), (3, 6)])
     def test_search_order(self, n, q):
-        # descending degree, then ascending value
+        # per component, descending degree, then ascending value
         g = build_graph(n, q)
-        keys = [(-a.bit_count(), v) for v, a in zip(g.vertices, g.adjacency)]
-        assert keys == sorted(keys)
+        for part in components(g):
+            keys = [(-g.adjacency[i].bit_count(), g.vertices[i]) for i in part]
+            assert keys == sorted(keys)
+
+    def test_union_capacity(self):
+        # 61,200 bifix-free words at n=4, q=16, under VERTEX_CAP, but the
+        # eight components hold 94,860 vertices between them
+        with pytest.raises(CapacityError, match="94860 vertices"):
+            build_graph(4, 16)
 
     def test_capacity_guard(self):
         # n=19: 140,680 bifix-free words, past VERTEX_CAP = 2**16;
@@ -139,47 +199,21 @@ class TestBuildGraph:
 
 
 class TestOrbits:
-    @pytest.mark.parametrize("n,q", [(3, 2), (8, 2), (5, 3), (4, 4), (3, 16)])
-    def test_partition(self, n, q):
-        g = build_graph(n, q)
-        assert all(orbit >> i & 1 for i, orbit in enumerate(g.orbits))
-        distinct = set(g.orbits)
-        for orbit in distinct:
-            assert all(g.orbits[j] == orbit for j in range(len(g.vertices)) if orbit >> j & 1)
-        # disjoint bitsets that together cover every vertex
-        assert sum(o.bit_count() for o in distinct) == len(g.vertices)
-        assert functools.reduce(operator.or_, distinct) == (1 << len(g.vertices)) - 1
+    """The split searches one image of each code under reversal x S_q, the
+    one whose first symbols lie below s.  That needs each of these maps to
+    send codes to codes: to be an automorphism of the graph of all
+    bifix-free words, which the search never builds."""
 
     @pytest.mark.parametrize("n,q", [(8, 2), (5, 3), (4, 4), (3, 16)])
     def test_generators_are_automorphisms(self, n, q):
-        g = build_graph(n, q)
-        adjacency = dense(g)
+        words = [w for w in all_words(n, q) if is_bifix_free(w)]
+        values = np.array([w.to_value() for w in words])
+        adjacency = np.concatenate(list(clique._compatible(values, n, q)))
+        symbols = [w.symbols for w in words]
         for name, f in generators(q).items():
-            perm = vertex_map(g, f)
+            perm = vertex_map(symbols, f)
             assert sorted(perm) == list(range(len(perm))), name
-            assert all(g.orbits[i] >> j & 1 for i, j in enumerate(perm)), name
             assert (adjacency[np.ix_(perm, perm)] == adjacency).all(), name
-
-    @pytest.mark.parametrize("n,q", [(8, 2), (5, 3), (4, 4), (3, 16)])
-    def test_orbits_are_generated(self, n, q):
-        # no coarser than the group: each orbit is what the generators reach
-        g = build_graph(n, q)
-        maps = [vertex_map(g, f) for f in generators(q).values()]
-        reached = [0] * len(g.vertices)
-        for i in range(len(g.vertices)):
-            if reached[i]:
-                continue
-            seen, todo = {i}, [i]
-            while todo:
-                u = todo.pop()
-                for j in (m[u] for m in maps):
-                    if j not in seen:
-                        seen.add(j)
-                        todo.append(j)
-            orbit = sum(1 << j for j in seen)
-            for j in seen:
-                reached[j] = orbit
-        assert tuple(reached) == g.orbits
 
 
 class TestMaxClique:
@@ -189,15 +223,14 @@ class TestMaxClique:
         with pytest.raises(RuntimeError):
             max_clique(build_graph(6, 2))
 
-    @pytest.mark.parametrize("n", range(3, 13))
+    @pytest.mark.parametrize("n", range(3, 14))
     def test_known_optima(self, n):
         result = max_clique(build_graph(n, 2))
         assert result.optimal
         assert result.size == OPTIMAL[n]
         assert verify_code(result.witness)
         assert len(result.witness) == result.size
-        if n == 12:  # 778 nodes with Re-NUMBER, 5,990 with greedy colouring alone
-            assert result.nodes_explored <= 1000
+        assert result.nodes_explored <= NODE_CEILING.get((n, 2), result.nodes_explored)
 
     @pytest.mark.parametrize(
         "q,n", [(q, n) for q, row in OPTIMAL_Q.items() for n in row]
@@ -207,13 +240,32 @@ class TestMaxClique:
         assert result.optimal
         assert result.size == len(result.witness) == OPTIMAL_Q[q][n]
         assert verify_code(result.witness)
+        assert result.nodes_explored <= NODE_CEILING.get((n, q), result.nodes_explored)
 
     @pytest.mark.parametrize(
-        "q,n", [(2, n) for n in range(3, 11)] + [(3, n) for n in range(3, 7)] + [(4, 3), (4, 4)]
+        "q,n",
+        [(2, n) for n in range(3, 11)] + [(3, n) for n in range(3, 7)] + [(4, 3), (4, 4)]
+        + [(q, n) for q in (2, 3, 4) for n in (1, 2)] + [(5, 3), (6, 3)],
     )
     def test_networkx_agreement(self, q, n):
+        # the split graph's optimum against the whole graph's, built
+        # without build_graph; (3,6) has three components and C(3,6) = 32
+        words, edges = full_compatibility_graph(n, q)
         g = build_graph(n, q)
-        assert max_clique(g).size == networkx_clique_number(g)
+        assert max_clique(g).size == networkx_clique_number(len(words), edges)
+        if (n, q) == (3, 6):
+            assert len(components(g)) == 3
+            assert max_clique(g).size == 32
+
+    @pytest.mark.parametrize("n,q", [(5, 4), (6, 4)])
+    def test_seed_is_a_clique(self, n, q):
+        # a word can lie in both components; the seed takes its s=1 copy
+        g = build_graph(n, q)
+        seed = clique._seed_clique(g)
+        assert len(seed) == best_size(n, q).size
+        assert max(seed) < len(components(g)[0])
+        for u, v in itertools.combinations(seed, 2):
+            assert g.adjacency[u] >> v & 1
 
     @pytest.mark.parametrize("seed", range(50))
     def test_random_graphs_match_networkx(self, seed, monkeypatch):
@@ -223,7 +275,9 @@ class TestMaxClique:
         monkeypatch.setattr("xbifix.clique.verify_code", lambda code: True)
         result = max_clique(g)
         assert result.optimal
-        assert result.size == len(result.witness) == networkx_clique_number(g)
+        edges = [(i, j) for i, a in enumerate(g.adjacency) for j in range(i) if a >> j & 1]
+        expected = networkx_clique_number(len(g.vertices), edges)
+        assert result.size == len(result.witness) == expected
         for u, v in itertools.combinations(result.witness.values, 2):
             assert g.adjacency[u] >> v & 1
 
@@ -258,13 +312,17 @@ class TestMaxClique:
             assert verify_code(result.witness)
             assert result.size <= OPTIMAL[12]
 
-    def test_budget_waits_for_a_first_witness(self):
-        # below n=4 the search starts empty, and here its first descent is
-        # deeper than the 256 nodes between budget checks
-        result = max_clique(build_graph(3, 16), time_budget=0.001)
+    def test_budget_waits_for_a_first_witness(self, monkeypatch):
+        # 260 vertices joined to all of a random graph on 80: the search
+        # starts empty, its first descent is deeper than the 256 nodes
+        # between budget checks, and certifying takes 1,423 nodes
+        g = random_graph(0, clique=260, size=340, density=0.7)
+        monkeypatch.setattr("xbifix.clique.verify_code", lambda code: True)
+        result = max_clique(g, time_budget=0.001)
         assert not result.optimal
         assert len(result.witness) == result.size > 256
-        assert verify_code(result.witness)
+        for u, v in itertools.combinations(result.witness.values, 2):
+            assert g.adjacency[u] >> v & 1
 
     def test_witness_is_clique_even_when_partial(self):
         g = build_graph(10, 2)
