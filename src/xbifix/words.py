@@ -11,8 +11,9 @@ significant; a `Code` holds its members' values ascending (lexicographic
 order), and `Word` is a view.  The proper prefix of length L is
 v // q**(n-L) and the proper suffix is v % q**L, so every affix test is
 one integer comparison.  Python ints are unbounded, so the predicates
-accept any (n, q) a code file can hold; numpy's int64 is used only where
-a capacity cap already keeps q**n below 2**63.
+accept any (n, q) a code file can hold.  The module imports no numpy: the
+nonexpandability check walks prefixes in plain ints over flag arrays
+indexed by affix value.
 
 All types are immutable after construction; every operation here is a pure
 function.
@@ -20,16 +21,17 @@ function.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from typing import Iterable, Iterator, Optional
 
 DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 MAX_Q = len(DIGITS)  # words serialize as single base-36 digits
 
-# brute-force ceiling for nonexpandability scans (q**n candidates)
+# ceiling on q**n for the nonexpandability walk
 NONEXPANDABLE_CAP = 2**24
-_SCAN_CHUNK = 1 << 16  # candidates per step of the nonexpandability scan
+_BLOCK = 4096  # prefixes the expansion walk extends at a time
 _PIECE = 640  # digits per int() call: no interpreter digit limit is lower
 
 
@@ -205,11 +207,10 @@ def _shortest_shared(
     found = None
     prefixes, suffixes = set(heads), set(tails)
     for length in range(n - 1, 0, -1):
-        prefixes = {v // q for v in prefixes}
-        suffixes = {v % q**length for v in suffixes}
-        shared = prefixes & suffixes
-        if shared:
-            found = length, min(shared)
+        prefixes = set(map(q.__rfloordiv__, prefixes))
+        suffixes = set(map((q**length).__rmod__, suffixes))
+        if not prefixes.isdisjoint(suffixes):
+            found = length, min(prefixes & suffixes)
     return found
 
 
@@ -236,28 +237,47 @@ def find_violation(code: Code) -> Optional[tuple[Word, Word, tuple[int, ...]]]:
 
 
 def find_expansion(code: Code) -> Optional[Word]:
-    """Brute force over all q**n words: the first word (lexicographically)
-    whose addition keeps the code cross-bifix-free, or None.  Candidates
-    are scanned in ascending chunks of int64 values, exact under the cap."""
-    n, q = code.n, code.q
+    """The lexicographically least word whose addition keeps the code
+    cross-bifix-free, or None.  Prefixes are walked least first, _BLOCK
+    at a time, keeping those that are no member's suffix; a full word then
+    survives when no suffix of it is a member's prefix (shortest first),
+    it is no member and it is bifix-free."""
+    n, q, values = code.n, code.q, code.values
     check_power_cap(q, n, NONEXPANDABLE_CAP)
-    if not verify_code(code):
-        raise ValueError("code is not cross-bifix-free")
-    import numpy as np  # after the guards: a refused scan loads no numpy
-    members = np.array(code.values, dtype=np.int64)
-    pools = [
-        (np.unique(members // q ** (n - length)), np.unique(members % q**length))
-        for length in range(1, n)
-    ]
-    for start in range(0, q**n, _SCAN_CHUNK):
-        cands = np.arange(start, min(start + _SCAN_CHUNK, q**n), dtype=np.int64)
-        cands = cands[~np.isin(cands, members)]
-        for length, (pre, suf) in enumerate(pools, start=1):
-            head, tail = cands // q ** (n - length), cands % q**length
-            # bifix-free, and no affix shared with the code either way
-            cands = cands[(head != tail) & ~np.isin(head, suf) & ~np.isin(tail, pre)]
-        if cands.size:
-            return Word.from_value(int(cands[0]), n, q)
+    affixes = [bytearray(1)] * n  # by affix value: 1 a member's prefix, 2 a suffix
+    heads, tails = set(values), set(values)  # pools derived as in _shortest_shared
+    for length in range(n - 1, 0, -1):
+        heads = set(map(q.__rfloordiv__, heads))
+        tails = set(map((q**length).__rmod__, tails))
+        if not heads.isdisjoint(tails):
+            raise ValueError("code is not cross-bifix-free")
+        flags = affixes[length] = bytearray(q**length)
+        for v in heads:
+            flags[v] = 1
+        for v in tails:
+            flags[v] = 2
+    ends = [s for s in range(q) if n == 1 or affixes[1][s] != 1]
+    stack = [(0, [0])]  # (length, ascending prefixes still to walk), least on top
+    while stack:
+        length, prefixes = stack.pop()
+        block = prefixes[:_BLOCK]
+        if len(prefixes) > _BLOCK:
+            stack.append((length, prefixes[_BLOCK:]))
+        if length < n - 1:
+            flags = affixes[length + 1]
+            # never empty: h*q + s is no member's suffix when s starts a member
+            children = [c for h in block for c in range(h * q, h * q + q) if flags[c] != 2]
+            stack.append((length + 1, children))
+            continue
+        first, stop = block[0] * q, block[-1] * q + q  # the block's words lie in [first, stop)
+        taken = set(values[bisect_left(values, first):bisect_left(values, stop)])
+        words = [w for h in block for s in ends if (w := h * q + s) not in taken]
+        for tail in range(2, n):
+            flags, m = affixes[tail], q**tail
+            words = [w for w in words if flags[w % m] != 1]
+        for w in words:
+            if _shortest_shared([w], [w], n, q) is None:
+                return Word.from_value(w, n, q)
     return None
 
 
@@ -286,8 +306,10 @@ def format_code(code: Code) -> str:
 
 
 def parse_code(text: str) -> Code:
+    """One pass checks all words at once, then int() decodes each; only a
+    file that fails is walked line by line, to name its first bad line."""
     lines = text.split("\n")
-    if not lines or not lines[0].startswith("# xbifix code "):
+    if not lines[0].startswith("# xbifix code "):
         raise CodeFormatError("missing '# xbifix code n=<n> q=<q>' header", line=1)
     fields = lines[0][len("# xbifix code "):].split()
     try:
@@ -299,16 +321,18 @@ def parse_code(text: str) -> Code:
     # int() would guess the base for q=0 and refuse q=1 or q > 36
     if not (2 <= q <= MAX_Q and n >= 1):
         raise CodeFormatError(f"bad header: need 2 <= q <= {MAX_Q} and n >= 1", line=1)
-    values = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        try:
-            values.append(_decode(line, q))
-        except ValueError as exc:
-            raise CodeFormatError(str(exc), line=i) from None
-        if len(line) != n:
-            raise CodeFormatError(f"word length {len(line)} != n={n}", line=i)
+    words = list(filter(None, lines[1:]))
+    if not (set(map(len, words)) <= {n} and (joined := "".join(words)).isascii()
+            and not joined.encode().translate(None, (DIGITS[:q] + DIGITS[:q].upper()).encode())):
+        for i, line in enumerate(lines[1:], start=2):
+            try:
+                _decode(line, q)
+            except ValueError as exc:
+                raise CodeFormatError(str(exc), line=i) from None
+            if line and len(line) != n:
+                raise CodeFormatError(f"word length {len(line)} != n={n}", line=i)
+    values = list(map(int, words, repeat(q))) if n <= _PIECE else [_decode(w, q) for w in words]
+    del lines, words  # not held through the sort below
     if not values:
         raise CodeFormatError("no words in file")
     ascending = sorted(set(values))

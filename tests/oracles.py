@@ -39,14 +39,18 @@ def naive_verify(code: Code) -> bool:
     return True
 
 
-def naive_is_nonexpandable(code: Code) -> bool:
+def naive_least_expansion(code: Code) -> Word | None:
+    """The first of all q**n words, in lexicographic order, that is no
+    member and keeps the code cross-bifix-free when added; None if none."""
     current = {w.symbols for w in code.words}
     for cand in itertools.product(range(code.q), repeat=code.n):
-        if cand in current:
-            continue
-        if all(naive_cross_pair_ok(cand, w) for w in current | {cand}):
-            return False
-    return True
+        if cand not in current and all(naive_cross_pair_ok(cand, w) for w in current | {cand}):
+            return Word(cand, code.q)
+    return None
+
+
+def naive_is_nonexpandable(code: Code) -> bool:
+    return naive_least_expansion(code) is None
 
 
 def full_compatibility_graph(n: int, q: int) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:

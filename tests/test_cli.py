@@ -464,10 +464,18 @@ class TestImportCost:
         assert output == [f"wrote 77544 words to {out}", "exit 0"]
         assert loaded == []
         assert out.read_text() == format_code(generate_direct(16, 5, 3))
-        # q**n is past the expansion scan's cap, so the scan never starts
+        # q**n is past the expansion walk's cap, so the walk never starts
         output, loaded = _fresh_run("verify", str(out))
         verdict = "cross-bifix-free: yes; nonexpandable: not checked (instance too large)"
         assert (output, loaded) == ([verdict, "exit 0"], [])
+
+    @pytest.mark.parametrize("n, verdict", [(16, "yes"), (8, "no")])
+    def test_verify_expansion_walk_loads_neither_library(self, tmp_path, n, verdict):
+        out = tmp_path / "c.txt"
+        write_code(generate_direct(n, 5, 2), out)
+        output, loaded = _fresh_run("verify", str(out))
+        assert output == [f"cross-bifix-free: yes; nonexpandable: {verdict}", "exit 0"]
+        assert loaded == []
 
     def test_alpha_loads_mpmath_when_it_runs(self, runner):
         output, loaded = _fresh_run("alpha", "--k", "3", "--q", "2")

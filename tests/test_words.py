@@ -29,6 +29,7 @@ from oracles import (
     naive_cross_pair_ok,
     naive_is_bifix_free,
     naive_is_nonexpandable,
+    naive_least_expansion,
     naive_verify,
 )
 
@@ -273,6 +274,44 @@ class TestNonexpandable:
                 continue
             assert is_nonexpandable(code) == naive_is_nonexpandable(code)
 
+    def test_least_expansion_matches_naive_on_random_codes(self):
+        # greedy random codes, some stopped early and some run until no
+        # drawn word fits: the walk must return the naive scan's first word
+        import random
+
+        rng = random.Random(11)
+        found = []
+        for _ in range(80):
+            q = rng.randint(2, 5)
+            n = rng.randint(1, max(m for m in range(1, 13) if q**m <= 2**12))
+            members: list[tuple[int, ...]] = []
+            for _ in range(rng.randint(1, 40)):
+                cand = tuple(rng.randrange(q) for _ in range(n))
+                if cand not in members and all(naive_cross_pair_ok(cand, w) for w in [*members, cand]):
+                    members.append(cand)
+            if not members:
+                continue
+            code = Code.from_words(Word(w, q) for w in members)
+            expansion = find_expansion(code)
+            assert expansion == naive_least_expansion(code), (n, q, members)
+            found.append(expansion is not None)
+        assert any(found) and not all(found)
+
+    @pytest.mark.parametrize("block", [None, 2], ids=["default-block", "block-2"])
+    @pytest.mark.parametrize("q, n_max", [(2, 12), (3, 7), (4, 6), (5, 5)])
+    def test_least_expansion_matches_naive_on_construction_codes(self, q, n_max, block, monkeypatch):
+        # reversing every word keeps a code cross-bifix-free; the reversed
+        # codes' members end in 0^k, the case where fewest prefixes are pruned.
+        # Blocks of 2 prefixes put a block boundary at every level.
+        if block is not None:
+            monkeypatch.setattr("xbifix.words._BLOCK", block)
+        for n in range(4, n_max + 1):
+            for k in range(2, n - 1):
+                code = generate_direct(n, k, q)
+                mirror = Code.from_words(Word(w.symbols[::-1], q) for w in code.sorted_words())
+                for c in (code, mirror):
+                    assert find_expansion(c) == naive_least_expansion(c), (n, k, q)
+
     def test_capacity_guard(self):
         # 8 words, but q**n = 2**25 candidates, past NONEXPANDABLE_CAP = 2**24
         code = generate_direct(25, 20, 2)
@@ -281,6 +320,12 @@ class TestNonexpandable:
             find_expansion(code)
         with pytest.raises(CapacityError):
             is_nonexpandable(code)
+
+
+@pytest.fixture(scope="module")
+def large_code_lines():
+    """The 77,544-word (16,5,3) code file, split into lines."""
+    return format_code(generate_direct(16, 5, 3)).split("\n")
 
 
 class TestFileFormat:
@@ -350,6 +395,36 @@ class TestFileFormat:
         with pytest.raises(CodeFormatError) as err:
             parse_code(f"# xbifix code n={len(line)} q=2\n{line}\n")
         assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda w: w[:8] + "3" + w[9:], lambda w: w + "\r", lambda w: w[:8] + "_" + w[8:-1],
+         lambda w: w[:-1]],
+        ids=["bad-digit", "carriage-return", "underscore", "short"],
+    )
+    def test_large_file_reports_exact_line(self, large_code_lines, damage):
+        lines = list(large_code_lines)
+        lines[49_999] = damage(lines[49_999])
+        with pytest.raises(CodeFormatError) as err:
+            parse_code("\n".join(lines))
+        assert err.value.line == 50_000
+
+    def test_large_file_duplicate_far_from_twin(self, large_code_lines):
+        lines = list(large_code_lines)
+        assert lines[-1] == ""
+        lines[-2] = lines[1]
+        with pytest.raises(CodeFormatError, match="duplicate"):
+            parse_code("\n".join(lines))
+
+    def test_large_file_blank_lines_and_upper_case(self, large_code_lines):
+        code = generate_direct(6, 2, 16)
+        header, body = format_code(code).split("\n", 1)
+        assert len(code) == 57_375 and body != body.upper()
+        assert parse_code(header + "\n" + body.upper()) == code
+        lines = list(large_code_lines)
+        lines[1:1] = [""] * 3
+        lines[40_000:40_000] = [""]
+        assert parse_code("\n".join(lines) + "\n\n") == generate_direct(16, 5, 3)
 
     def test_either_case_parses(self):
         assert parse_code("# xbifix code n=3 q=16\n0aF\n0Ab\n") == Code.from_words(
