@@ -308,7 +308,15 @@ def sim(code_file, trials, seed, max_stream, as_json):
 def verify(code_file):
     """Verify a code file: cross-bifix-free and nonexpandable."""
     code = read_code(code_file)
-    violation = find_violation(code)
+    violation = None
+    try:  # the walk derives the affix pools once; it refuses an invalid code
+        verdict = "yes" if is_nonexpandable(code) else "no"
+    except (CapacityError, ValueError) as exc:
+        # too large to walk, or not cross-bifix-free: the witness tells which
+        violation = find_violation(code)
+        if violation is None and not isinstance(exc, CapacityError):
+            raise
+        verdict = "not checked (instance too large)"
     if violation is not None:
         w1, w2, seg = violation
         digits = w1.to_digits()
@@ -317,10 +325,6 @@ def verify(code_file):
             f"is a suffix of {w2.to_digits()})"
         )
         raise SystemExit(EXIT_VIOLATION)
-    try:
-        verdict = "yes" if is_nonexpandable(code) else "no"
-    except CapacityError:
-        verdict = "not checked (instance too large)"
     click.echo(f"cross-bifix-free: yes; nonexpandable: {verdict}")
 
 

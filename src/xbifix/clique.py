@@ -27,16 +27,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
-
-if TYPE_CHECKING:
-    import numpy as np
 
 from .construction import best_size, generate_direct
 from .words import MAX_Q, CapacityError, Code, check_power_cap, verify_code
 
 VERTEX_CAP = 2**16  # bifix-free words, and vertices built from them, build_graph takes at most
-_ROW_BLOCK = 256  # graph-build rows per step; bounds memory to 256 x V booleans
 
 
 @dataclass(frozen=True)
@@ -61,60 +56,46 @@ class CliqueResult:
     optimal: bool
 
 
-def _compatible(words: np.ndarray, n: int, q: int) -> Iterator[np.ndarray]:
-    """Blocks of up to _ROW_BLOCK rows of the boolean adjacency matrix,
-    True where two words are mutually cross-bifix-free, False on the
-    diagonal."""
-    import numpy as np
-    affixes = [(words // q ** (n - length), words % q**length) for length in range(1, n)]
-    for start in range(0, len(words), _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        ok = np.ones((len(words[rows]), len(words)), dtype=bool)
-        for head, tail in affixes:
-            ok &= (head[rows, None] != tail) & (tail[rows, None] != head)
-        np.fill_diagonal(ok[:, start:], False)
-        yield ok
+def _rows(words: list[int], n: int, q: int) -> list[int]:
+    """Per word, the bitset of the words it is mutually cross-bifix-free
+    with, bit i standing for words[i], itself excluded."""
+    clash = [0] * len(words)
+    for length in range(1, n):
+        cut, mod = q ** (n - length), q**length
+        heads: dict[int, int] = {}  # by prefix value, the words that carry it
+        tails: dict[int, int] = {}  # the same by suffix value
+        for i, w in enumerate(words):
+            bit = 1 << i
+            heads[w // cut] = heads.get(w // cut, 0) | bit
+            tails[w % mod] = tails.get(w % mod, 0) | bit
+        for i, w in enumerate(words):
+            clash[i] |= tails.get(w // cut, 0) | heads.get(w % mod, 0)
+    full = (1 << len(words)) - 1
+    return [full ^ (c | 1 << i) for i, c in enumerate(clash)]
 
 
-def _component(words: np.ndarray, n: int, q: int) -> tuple[list[int], list[int]]:
+def _component(words: list[int], n: int, q: int) -> tuple[list[int], list[int]]:
     """The words in search order, descending degree then ascending value,
     and per word its bitset of neighbours in that order."""
-    import numpy as np
-    degree, packed = [], []
-    for ok in _compatible(words, n, q):
-        degree.append(ok.sum(axis=1))
-        packed.append(np.packbits(ok, axis=1, bitorder="little"))
-    order = np.argsort(-np.concatenate(degree), kind="stable")
-    packed = np.concatenate(packed)  # value order, one bit per pair; frees the blocks
-    adjacency: list[int] = []
-    for start in range(0, len(words), _ROW_BLOCK):
-        # rows, then columns, of the value-order matrix in search order;
-        # np.take keeps the block C-contiguous, which packbits needs to be fast
-        block = packed[order[start : start + _ROW_BLOCK]]
-        ok = np.unpackbits(block, axis=1, count=len(words), bitorder="little")
-        ok = np.take(ok, order, axis=1)
-        # row i as an int whose bit j is the edge to vertex j
-        block = np.packbits(ok, axis=1, bitorder="little")
-        adjacency.extend(int.from_bytes(row.tobytes(), "little") for row in block)
-    return words[order].tolist(), adjacency
+    degrees = (-row.bit_count() for row in _rows(words, n, q))
+    words = [w for _, w in sorted(zip(degrees, words))]
+    return words, _rows(words, n, q)
 
 
 def build_graph(n: int, q: int) -> CompatGraph:
     """The split graph of the module docstring over the length-n words of
-    Z_q, as base-q values (see xbifix.words), with no self-loops stored.
-    int64 is exact under the cap."""
-    import numpy as np
+    Z_q, as base-q values (see xbifix.words), with no self-loops stored."""
     if n < 1 or not 2 <= q <= MAX_Q:
         raise ValueError(f"need n >= 1 and 2 <= q <= {MAX_Q}, got n={n}, q={q}")
     check_power_cap(q, n, VERTEX_CAP * 8)
-    words = np.arange(q**n, dtype=np.int64)
+    words = range(q**n)
     for length in range(1, n):
-        words = words[words // q ** (n - length) != words % q**length]
+        cut, mod = q ** (n - length), q**length
+        words = [w for w in words if w // cut != w % mod]
     parts = [words]
     if n >= 2:
-        head = 2 if q == 2 and n >= 3 else 1  # length of the prefix that must lie below s
-        first, last = words // q ** (n - head), words % q
-        parts = [words[(first < s) & (last >= s)] for s in range(1, q // 2 + 1)]
+        cut = q ** (n - (2 if q == 2 and n >= 3 else 1))  # w // cut must lie below s
+        parts = [[w for w in words if w // cut < s <= w % q] for s in range(1, q // 2 + 1)]
     size = max(len(words), sum(map(len, parts)))  # the words filtered, the vertices built
     if size > VERTEX_CAP:
         raise CapacityError(f"{size} vertices exceed cap {VERTEX_CAP}")

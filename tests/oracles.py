@@ -67,6 +67,22 @@ def full_compatibility_graph(n: int, q: int) -> tuple[list[tuple[int, ...]], lis
     return words, edges
 
 
+def compatibility_matrix(values, n: int, q: int):
+    """The boolean matrix over the length-n base-q values, True where two
+    are mutually cross-bifix-free and False on the diagonal, every affix
+    length compared at once in numpy int64: an oracle for the bitsets of
+    clique.build_graph."""
+    import numpy as np
+
+    words = np.asarray(values, dtype=np.int64)
+    ok = np.ones((len(words), len(words)), dtype=bool)
+    for length in range(1, n):
+        head, tail = words // q ** (n - length), words % q**length
+        ok &= (head[:, None] != tail) & (tail[:, None] != head)
+    np.fill_diagonal(ok, False)
+    return ok
+
+
 def naive_first_match_time(code: Code, stream: list[int]) -> int | None:
     words = {w.symbols for w in code.words}
     n = code.n

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -365,6 +366,35 @@ class TestSimVerify:
             "cross-bifix-free: yes; nonexpandable: not checked (instance too large)\n"
         )
 
+    @pytest.mark.parametrize(
+        "text, status, calls",
+        [
+            (format_code(generate_direct(16, 5, 2)), 0, 0),
+            ("# xbifix code n=2 q=2\n01\n10\n", 1, 1),
+            (format_code(generate_direct(16, 5, 3)), 0, 1),
+        ],
+        ids=["valid", "invalid", "too-large"],
+    )
+    def test_verify_derives_the_pools_once(self, runner, tmp_path, monkeypatch, text, status, calls):
+        # the expansion walk derives every length's affix pools itself;
+        # find_violation derives them again only for a code that the walk
+        # refuses, as invalid or as too large
+        import xbifix.words as words
+
+        shared, pooled = words._shortest_shared, []
+
+        def counted(heads, tails, n, q):
+            heads = list(heads)
+            if len(heads) > 1:  # the whole code's pools, not one word's bifix check
+                pooled.append(len(heads))
+            return shared(heads, tails, n, q)
+
+        monkeypatch.setattr(words, "_shortest_shared", counted)
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        assert runner.invoke(main, ["verify", str(path)]).exit_code == status
+        assert len(pooled) == calls
+
     def test_verify_too_large_to_scan(self, runner, tmp_path):
         path = tmp_path / "c25.txt"
         write_code(generate_direct(25, 20, 2), path)
@@ -476,6 +506,20 @@ class TestImportCost:
         output, loaded = _fresh_run("verify", str(out))
         assert output == [f"cross-bifix-free: yes; nonexpandable: {verdict}", "exit 0"]
         assert loaded == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [["clique", "--n", "8"], ["table", "--n-max", "8", "--clique-upto", "8"]],
+        ids=["clique", "table"],
+    )
+    def test_clique_search_loads_neither_library(self, runner, args):
+        # the graph is built in plain ints; the search time is left out
+        def untimed(lines):
+            return [re.sub(r", \d+\.\d+s\]$", "]", line) for line in lines]
+
+        output, loaded = _fresh_run(*args)
+        assert output[-1] == "exit 0" and loaded == []
+        assert untimed(output[:-1]) == untimed(runner.invoke(main, args).stdout.splitlines())
 
     def test_alpha_loads_mpmath_when_it_runs(self, runner):
         output, loaded = _fresh_run("alpha", "--k", "3", "--q", "2")

@@ -9,7 +9,12 @@ from xbifix.clique import CompatGraph, build_graph, max_clique
 from xbifix.construction import best_size
 from xbifix.words import CapacityError, Word, cross_pair_ok, is_bifix_free, verify_code
 
-from oracles import all_words, full_compatibility_graph, naive_cross_pair_ok
+from oracles import (
+    all_words,
+    compatibility_matrix,
+    full_compatibility_graph,
+    naive_cross_pair_ok,
+)
 
 # published exact optima for the binary alphabet (bold table entries), and
 # C(13,2) as the search certifies it
@@ -149,26 +154,16 @@ class TestBuildGraph:
                     assert edge == cross_pair_ok(Word.from_value(u, 5, 2), Word.from_value(v, 5, 2))
 
     @pytest.mark.parametrize("n,q", [(13, 2), (12, 2), (7, 3), (5, 4), (6, 4)])
-    def test_one_compatibility_pass(self, n, q, monkeypatch):
-        # degrees and bitsets come from one pass per component in value
-        # order, permuted block by block; each component's block must be the
-        # matrix of its search order, the rest of the matrix empty.  Below
-        # n = 13 the components are smaller, and 64-row blocks give the
-        # largest of them more than two.
-        if n < 13:
-            monkeypatch.setattr(clique, "_ROW_BLOCK", 64)
-        compatible, calls = clique._compatible, []
-        monkeypatch.setattr(clique, "_compatible", lambda *a: calls.append(a) or compatible(*a))
+    def test_matches_compatibility_oracle(self, n, q):
+        # each component's block is the oracle's matrix of its words in
+        # search order, the rest of the matrix empty
         g = build_graph(n, q)
         parts = components(g)
-        assert len(calls) == len(parts) == q // 2
-        assert max(map(len, parts)) > 2 * clique._ROW_BLOCK
+        assert len(parts) == q // 2
         expected = np.zeros((len(g.vertices),) * 2, dtype=bool)
         for part in parts:
-            values = np.array(g.vertices[part.start : part.stop])
-            expected[part.start : part.stop, part.start : part.stop] = np.concatenate(
-                list(compatible(values, n, q))
-            )
+            values = g.vertices[part.start : part.stop]
+            expected[part.start : part.stop, part.start : part.stop] = compatibility_matrix(values, n, q)
         assert (dense(g) == expected).all()
 
     @pytest.mark.parametrize("n,q", [(8, 2), (5, 3), (4, 4), (3, 6)])
@@ -207,8 +202,7 @@ class TestOrbits:
     @pytest.mark.parametrize("n,q", [(8, 2), (5, 3), (4, 4), (3, 16)])
     def test_generators_are_automorphisms(self, n, q):
         words = [w for w in all_words(n, q) if is_bifix_free(w)]
-        values = np.array([w.to_value() for w in words])
-        adjacency = np.concatenate(list(clique._compatible(values, n, q)))
+        adjacency = compatibility_matrix([w.to_value() for w in words], n, q)
         symbols = [w.symbols for w in words]
         for name, f in generators(q).items():
             perm = vertex_map(symbols, f)
