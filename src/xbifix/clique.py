@@ -17,10 +17,8 @@ The solver is a branch-and-bound over bitset candidate sets, seeded from
 n = 4 on with the constructed code, which lies in the s = 1 set.  Its upper
 bounds come from a greedy coloring built one class at a time (as in BBMC,
 San Segundo et al. 2011); only vertices in classes that can still beat
-the incumbent are branched on, and each of those first tries to move into
-a lower class, directly or by a swap with its one neighbour there
-(Re-NUMBER, from Tomita et al.'s MCS, WALCOM 2010).  C(12,2) = 81
-certifies in 29 nodes, C(13,2) = 149 in 111 and C(6,4) = 251 in 268.
+the incumbent are branched on, the highest class first.  C(12,2) = 81
+certifies in 105 nodes, C(13,2) = 149 in 655 and C(6,4) = 251 in 268.
 """
 
 from __future__ import annotations
@@ -118,7 +116,7 @@ def _seed_clique(graph: CompatGraph) -> list[int]:
 
 
 def max_clique(graph: CompatGraph, time_budget: float | None = None) -> CliqueResult:
-    """Branch-and-bound maximum clique with re-numbered coloring bounds.
+    """Branch-and-bound maximum clique with greedy coloring bounds.
 
     Within the budget the result is the exact maximum (optimal=True);
     on budget exhaustion the best clique found so far is returned with
@@ -137,19 +135,12 @@ def max_clique(graph: CompatGraph, time_budget: float | None = None) -> CliqueRe
         nonlocal best, nodes, out_of_budget
         nodes += 1
         # the budget is checked once a witness exists, so one is returned
-        if out_of_budget or (
-            deadline is not None
-            and nodes % 256 == 0
-            and best
-            and time.monotonic() > deadline
-        ):
+        if out_of_budget or (deadline is not None and best and time.monotonic() > deadline):
             out_of_budget = True
             return
-        # greedy coloring of the candidate set, one class at a time; the
-        # first k_min classes cannot improve on best and are not branched on
-        k_min = len(best) - len(clique)
-        low: list[int] = []
-        high: list[int] = []  # high[i] extends the clique by at most len(low) + i + 1
+        # greedy coloring of the candidate set, one class at a time; a
+        # vertex of the i-th class extends the clique by at most i + 1
+        classes: list[int] = []
         uncolored = candidates
         while uncolored:
             cls, members = uncolored, 0
@@ -158,39 +149,17 @@ def max_clique(graph: CompatGraph, time_budget: float | None = None) -> CliqueRe
                 members |= bit
                 cls &= ~(bit | adj[bit.bit_length() - 1])
             uncolored &= ~members
-            if len(low) < k_min:
-                low.append(members)
-                continue
-            # Re-NUMBER (Tomita): a member v moves to a class i < k_min where
-            # it has no neighbour, or where it has one, w, that moves on to a
-            # class j, i < j < k_min, with none of its own
-            todo = members
-            while todo:
-                bit = todo & -todo
-                todo ^= bit
-                near = adj[bit.bit_length() - 1]
-                for i in range(k_min):
-                    hit = near & low[i]  # v's neighbours in class i
-                    if hit & (hit - 1):
-                        continue
-                    j = i
-                    if hit:
-                        far = adj[hit.bit_length() - 1]
-                        j = next((j for j in range(i + 1, k_min) if not far & low[j]), i)
-                        if j == i:
-                            continue
-                    low[i] ^= hit | bit
-                    low[j] |= hit
-                    members ^= bit
-                    break
-            high.append(members)
-        floor = len(clique) + len(low)
-        del low  # not held through the recursion below
+            classes.append(members)
+        # the first len(best) - len(clique) classes cannot improve on best;
+        # they are dropped rather than held through the recursion below
+        cut = max(len(best) - len(clique), 0)
+        del classes[:cut]
+        floor = len(clique) + cut
         # branch on the highest classes first, the highest vertex of each first
-        while high:
-            members = high.pop()
+        while classes:
+            members = classes.pop()
             while members:
-                if floor + len(high) + 1 <= len(best):
+                if floor + len(classes) + 1 <= len(best):
                     return
                 v = members.bit_length() - 1
                 members ^= 1 << v

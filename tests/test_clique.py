@@ -1,5 +1,6 @@
 import itertools
 import random
+import types
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from oracles import (
 OPTIMAL = {3: 1, 4: 1, 5: 2, 6: 3, 7: 5, 8: 8, 9: 14, 10: 24, 11: 44, 12: 81, 13: 149}
 # exact optima for q = 3 and 4, as the search certifies them
 OPTIMAL_Q = {3: {3: 4, 4: 8, 5: 17, 6: 41, 7: 99}, 4: {3: 9, 4: 27, 5: 81, 6: 251}}
-# search nodes allowed, (n, q): 29, 111 and 268 measured with the split graph
-NODE_CEILING = {(12, 2): 100, (13, 2): 200, (6, 4): 400}
+# search nodes allowed, (n, q): 105, 655 and 268 measured with the split graph
+NODE_CEILING = {(12, 2): 360, (13, 2): 1180, (6, 4): 400}
 
 
 def brute_force_max_clique(n, q):
@@ -263,7 +264,7 @@ class TestMaxClique:
 
     @pytest.mark.parametrize("seed", range(50))
     def test_random_graphs_match_networkx(self, seed, monkeypatch):
-        # graphs the bifix structure never produces, for both Re-NUMBER moves;
+        # the colouring bound on graphs the bifix structure never produces;
         # their witnesses are no codes, so only the clique property is checked
         g = random_graph(seed)
         monkeypatch.setattr("xbifix.clique.verify_code", lambda code: True)
@@ -308,8 +309,8 @@ class TestMaxClique:
 
     def test_budget_waits_for_a_first_witness(self, monkeypatch):
         # 260 vertices joined to all of a random graph on 80: the search
-        # starts empty, its first descent is deeper than the 256 nodes
-        # between budget checks, and certifying takes 1,423 nodes
+        # starts empty, and the budget, checked only once a witness exists,
+        # lets the first descent through all 260; certifying takes 2,016 nodes
         g = random_graph(0, clique=260, size=340, density=0.7)
         monkeypatch.setattr("xbifix.clique.verify_code", lambda code: True)
         result = max_clique(g, time_budget=0.001)
@@ -317,6 +318,18 @@ class TestMaxClique:
         assert len(result.witness) == result.size > 256
         for u, v in itertools.combinations(result.witness.values, 2):
             assert g.adjacency[u] >> v & 1
+
+    def test_budget_checked_at_every_node(self, monkeypatch):
+        # a clock past the deadline right after the start: the seed, S(9,2)
+        # = 13 words, is a witness, so the search stops at its first node
+        g = build_graph(9, 2)
+        ticks = itertools.count()
+        monkeypatch.setattr(
+            "xbifix.clique.time", types.SimpleNamespace(monotonic=lambda: 10.0 * next(ticks))
+        )
+        result = max_clique(g, time_budget=1.0)
+        assert (result.nodes_explored, result.optimal, result.size) == (1, False, 13)
+        assert verify_code(result.witness)
 
     def test_witness_is_clique_even_when_partial(self):
         g = build_graph(10, 2)
