@@ -112,9 +112,7 @@ def asymptotic_probe(q: int, k_range, c: float | None = None) -> list[ProbeRow]:
     rows = []
     for k, n in lengths:
         size = size_formula(n, k, q)
-        # ratio via logs: q**n is far beyond float range
-        log_ratio = math.log(size) + math.log(n) - n * math.log(q)
-        rows.append(ProbeRow(k=k, n=n, size=size, ratio=math.exp(log_ratio)))
+        rows.append(ProbeRow(k=k, n=n, size=size, ratio=size * n / q**n))
     return rows
 
 
@@ -129,27 +127,19 @@ class BoundsReport:
     best_k: int | None
     upper_bound: Fraction
     bilotta: int | None
-    dist_seq: float | None
     ratio_lower: float
     ratio_upper: float
 
 
 def bounds_report(n: int, q: int) -> BoundsReport:
     record = best_size(n, q)
-    bound = upper_bound(n, q)
-    log_qn = n * math.log(q)
-    ratio_lower = math.exp(math.log(record.size) + math.log(n) - log_qn)
-    ratio_upper = math.exp(
-        math.log(bound.numerator) - math.log(bound.denominator) + math.log(n) - log_qn
-    )
     return BoundsReport(
         n=n,
         q=q,
         construction_size=record.size,
         best_k=record.best_k,
-        upper_bound=bound,
+        upper_bound=upper_bound(n, q),
         bilotta=bilotta_size(n) if q == 2 else None,
-        dist_seq=dist_seq_bound(n)[0] if q == 2 and n >= 2 else None,
-        ratio_lower=ratio_lower,
-        ratio_upper=ratio_upper,
+        ratio_lower=record.size * n / q**n,  # int true division rounds correctly
+        ratio_upper=n / (2 * n - 1),
     )

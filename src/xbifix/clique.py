@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass
 
 from .construction import best_size, generate_direct
-from .words import MAX_Q, CapacityError, Code, check_power_cap, verify_code
+from .words import MAX_Q, CapacityError, Code, bifix_free, check_power_cap, verify_code
 
 VERTEX_CAP = 2**16  # bifix-free words, and vertices built from them, build_graph takes at most
 
@@ -86,10 +86,7 @@ def build_graph(n: int, q: int) -> CompatGraph:
     if n < 1 or not 2 <= q <= MAX_Q:
         raise ValueError(f"need n >= 1 and 2 <= q <= {MAX_Q}, got n={n}, q={q}")
     check_power_cap(q, n, VERTEX_CAP * 8)
-    words = range(q**n)
-    for length in range(1, n):
-        cut, mod = q ** (n - length), q**length
-        words = [w for w in words if w // cut != w % mod]
+    words = bifix_free(range(q**n), n, q)
     parts = [words]
     if n >= 2:
         cut = q ** (n - (2 if q == 2 and n >= 3 else 1))  # w // cut must lie below s

@@ -9,7 +9,7 @@ and maximizing over k gives the best size S(n, q) for each length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fibonacci import fib
 from .words import Code, check_alphabet, check_power_cap
@@ -52,7 +52,7 @@ class SizeRecord:
     q: int
     best_k: int | None
     size: int
-    per_k: dict[int, int] = field(default_factory=dict)
+    per_k: dict[int, int]
 
     def to_json_dict(self) -> dict:
         # big integers as decimal strings to survive any JSON consumer

@@ -217,25 +217,21 @@ def beta_bracket(k: int, q: int, precision_bits: int = DEFAULT_PRECISION_BITS):
     raise PrecisionError(f"beta bracket for k={k}, q={q} did not certify")
 
 
-def fib_closed_form(
-    k: int, q: int, n: int, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> int:
+def fib_closed_form(k: int, q: int, n: int) -> int:
     """F_{k,q}(n) as the nearest integer to
 
         (alpha - 1) * alpha**(n+1) / ((q + (k+1)*(alpha - q)) * (q - 1))
 
     in interval arithmetic on find_alpha's bracket, from the smallest
-    precision_bits * 2**j bits above n*log2(q) + log2(n) + 32, enough for
-    F(n) <= q**n to its units (powers of two, so find_alpha's cache hits
-    across n).  The rounding is certified: the interval must lie strictly
+    DEFAULT_PRECISION_BITS * 2**j bits above n*log2(q) + log2(n) + 32,
+    enough for F(n) <= q**n to its units (powers of two, so find_alpha's
+    cache hits across n).  The rounding is certified: the interval must lie strictly
     within (m - 1/2, m + 1/2) for one integer m, or the bits double.
     PrecisionError if that still fails at 64x the first pass's bits.
     """
     from mpmath import iv, mp
     _check_kq(k, q, n)
-    if precision_bits < 53:
-        raise ValueError("precision_bits must be >= 53")
-    bits = precision_bits
+    bits = DEFAULT_PRECISION_BITS
     while bits < n * math.log2(q) + n.bit_length() + 32:
         bits *= 2
     last = bits * 64

@@ -141,10 +141,18 @@ def cross_pair_ok(u: Word, v: Word) -> bool:
     return _shortest_shared([a], [b], n, q) is None and _shortest_shared([b], [a], n, q) is None
 
 
+def bifix_free(values: Iterable[int], n: int, q: int) -> list[int]:
+    """The values, in order, whose length-n words are bifix-free."""
+    for length in range(1, n):
+        cut, mod = q ** (n - length), q**length
+        values = [v for v in values if v // cut != v % mod]
+    return list(values)
+
+
 def is_bifix_free(w: Word) -> bool:
     """True iff no proper prefix of w equals a suffix of w of the same
     length.  Length-1 words are bifix-free vacuously (no proper affixes)."""
-    return cross_pair_ok(w, w)
+    return bool(bifix_free([w.to_value()], len(w), w.q))
 
 
 def _decode(text: str, q: int) -> int:
@@ -197,20 +205,32 @@ class Code:
         return [Word.from_value(v, self.n, self.q) for v in self.values]
 
 
+def _affix_pools(
+    heads: Iterable[int], tails: Iterable[int], n: int, q: int
+) -> Iterator[tuple[int, set[int], set[int]]]:
+    """(L, prefixes, suffixes) for L = n-1 down to 1: the length-L proper
+    prefixes of the values in `heads` and suffixes of those in `tails`.
+    The length-L pools are the length-(L+1) pools with one more symbol
+    dropped, longest first.  A consumer deletes its references to a pair
+    before the next is derived, so that no more than three pools are alive."""
+    prefixes, suffixes = set(heads), set(tails)
+    for length in range(n - 1, 0, -1):
+        prefixes = set(map(q.__rfloordiv__, prefixes))
+        suffixes = set(map((q**length).__rmod__, suffixes))
+        yield length, prefixes, suffixes
+
+
 def _shortest_shared(
     heads: Iterable[int], tails: Iterable[int], n: int, q: int
 ) -> Optional[tuple[int, int]]:
     """(L, s) for the shortest L at which a proper prefix of a value in
     `heads` equals a proper suffix of one in `tails`, s the least such
-    segment; None if there is none.  The length-L pools are the
-    length-(L+1) pools with one more symbol dropped, longest first."""
+    segment; None if there is none."""
     found = None
-    prefixes, suffixes = set(heads), set(tails)
-    for length in range(n - 1, 0, -1):
-        prefixes = set(map(q.__rfloordiv__, prefixes))
-        suffixes = set(map((q**length).__rmod__, suffixes))
+    for length, prefixes, suffixes in _affix_pools(heads, tails, n, q):
         if not prefixes.isdisjoint(suffixes):
             found = length, min(prefixes & suffixes)
+        del prefixes, suffixes
     return found
 
 
@@ -245,10 +265,7 @@ def find_expansion(code: Code) -> Optional[Word]:
     n, q, values = code.n, code.q, code.values
     check_power_cap(q, n, NONEXPANDABLE_CAP)
     affixes = [bytearray(1)] * n  # by affix value: 1 a member's prefix, 2 a suffix
-    heads, tails = set(values), set(values)  # pools derived as in _shortest_shared
-    for length in range(n - 1, 0, -1):
-        heads = set(map(q.__rfloordiv__, heads))
-        tails = set(map((q**length).__rmod__, tails))
+    for length, heads, tails in _affix_pools(values, values, n, q):
         if not heads.isdisjoint(tails):
             raise ValueError("code is not cross-bifix-free")
         flags = affixes[length] = bytearray(q**length)
@@ -256,6 +273,7 @@ def find_expansion(code: Code) -> Optional[Word]:
             flags[v] = 1
         for v in tails:
             flags[v] = 2
+        del heads, tails
     ends = [s for s in range(q) if n == 1 or affixes[1][s] != 1]
     stack = [(0, [0])]  # (length, ascending prefixes still to walk), least on top
     while stack:
@@ -275,9 +293,8 @@ def find_expansion(code: Code) -> Optional[Word]:
         for tail in range(2, n):
             flags, m = affixes[tail], q**tail
             words = [w for w in words if flags[w % m] != 1]
-        for w in words:
-            if _shortest_shared([w], [w], n, q) is None:
-                return Word.from_value(w, n, q)
+        if words := bifix_free(words, n, q):
+            return Word.from_value(words[0], n, q)
     return None
 
 

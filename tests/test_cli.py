@@ -367,21 +367,22 @@ class TestSimVerify:
         )
 
     @pytest.mark.parametrize(
-        "text, status, calls",
+        "text, status, calls, walks",
         [
-            (format_code(generate_direct(16, 5, 2)), 0, 0),
-            ("# xbifix code n=2 q=2\n01\n10\n", 1, 1),
-            (format_code(generate_direct(16, 5, 3)), 0, 1),
+            (format_code(generate_direct(16, 5, 2)), 0, 0, 1),
+            ("# xbifix code n=2 q=2\n01\n10\n", 1, 1, 2),
+            (format_code(generate_direct(16, 5, 3)), 0, 1, 1),
         ],
         ids=["valid", "invalid", "too-large"],
     )
-    def test_verify_derives_the_pools_once(self, runner, tmp_path, monkeypatch, text, status, calls):
+    def test_verify_derives_the_pools_once(self, runner, tmp_path, monkeypatch, text, status, calls, walks):
         # the expansion walk derives every length's affix pools itself;
         # find_violation derives them again only for a code that the walk
         # refuses, as invalid or as too large
         import xbifix.words as words
 
         shared, pooled = words._shortest_shared, []
+        pools, walked = words._affix_pools, []
 
         def counted(heads, tails, n, q):
             heads = list(heads)
@@ -389,11 +390,19 @@ class TestSimVerify:
                 pooled.append(len(heads))
             return shared(heads, tails, n, q)
 
+        def counted_walk(heads, tails, n, q):
+            heads = list(heads)
+            if len(heads) > 1:
+                walked.append(len(heads))
+            return pools(heads, tails, n, q)
+
         monkeypatch.setattr(words, "_shortest_shared", counted)
+        monkeypatch.setattr(words, "_affix_pools", counted_walk)
         path = tmp_path / "c.txt"
         path.write_text(text)
         assert runner.invoke(main, ["verify", str(path)]).exit_code == status
         assert len(pooled) == calls
+        assert len(walked) == walks
 
     def test_verify_too_large_to_scan(self, runner, tmp_path):
         path = tmp_path / "c25.txt"

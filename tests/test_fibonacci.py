@@ -374,17 +374,6 @@ class TestClosedForm:
         assert fib_closed_form(3, 2, 200) == fib(3, 2, 200)
         assert calls == [256, 512]
 
-    @pytest.mark.parametrize("bits", [0, -1])
-    def test_precision_below_double_rejected(self, bits):
-        # doubling from zero or below never reaches n's bits
-        with pytest.raises(ValueError, match="precision_bits must be >= 53"):
-            fib_closed_form(2, 2, 10, precision_bits=bits)
-
-    def test_low_precision_escalates_not_wrong(self):
-        # 53 bits cannot settle large n directly; escalation must still
-        # land on the exact value
-        assert fib_closed_form(2, 2, 180, precision_bits=53) == fib(2, 2, 180)
-
 
 class TestRoots:
     @pytest.mark.parametrize("k,q", [(2, 2), (4, 2), (3, 5)])

@@ -10,6 +10,7 @@ from xbifix.words import (
     Code,
     CodeFormatError,
     Word,
+    bifix_free,
     cross_pair_ok,
     find_expansion,
     find_violation,
@@ -120,6 +121,15 @@ class TestBifixFree:
         for n in range(2, 8):
             for w in all_words(n, 3):
                 assert is_bifix_free(w) == naive_is_bifix_free(w.symbols)
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_filter_matches_oracle_in_order(self, q):
+        # values fed in descending order come back in that order
+        for n in range(1, 9):
+            symbols = list(itertools.product(range(q), repeat=n))  # symbols[v] spells v
+            values = range(q**n - 1, -1, -1)
+            want = [v for v in values if naive_is_bifix_free(symbols[v])]
+            assert bifix_free(values, n, q) == want, (n, q)
 
 
 class TestCrossPair:
