@@ -9,11 +9,8 @@ from .words import (  # noqa: F401
     CodeFormatError,
     Word,
     cross_pair_ok,
-    is_bifix_free,
     is_nonexpandable,
-    prefix,
     read_code,
-    suffix,
     verify_code,
     write_code,
 )
@@ -26,4 +23,4 @@ from .construction import (  # noqa: F401
 from .fibonacci import fib, fib_closed_form, find_alpha, kq_threshold  # noqa: F401
 from .bounds import bilotta_size, upper_bound, variance_formula  # noqa: F401
 from .clique import build_graph, max_clique  # noqa: F401
-from .sim import SimConfig, SyncStats, first_match_time, run_sim  # noqa: F401
+from .sim import SimConfig, SyncStats, run_sim  # noqa: F401

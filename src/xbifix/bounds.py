@@ -64,18 +64,6 @@ def bilotta_size(n: int) -> int:
     return total - catalan((m - 1) // 2) ** 2
 
 
-def dist_seq_bound(n: int) -> tuple[float, int]:
-    """(size bound 2**(n - 2*sqrt(n-1)), minimal h with h**2//4 + 1 >= n)
-    for binary distributed sequences.  A bound, not a construction."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    bound = 2.0 ** (n - 2.0 * math.sqrt(n - 1))
-    h = 1
-    while h * h // 4 + 1 < n:
-        h += 1
-    return bound, h
-
-
 def target_ratio(q: int) -> float:
     """The asymptotic lower-bound constant (q-1)/(q*e)."""
     return (q - 1) / (q * math.e)
@@ -103,12 +91,14 @@ def asymptotic_probe(q: int, k_range, c: float | None = None) -> list[ProbeRow]:
         c = q / (q - 1)
     if not (math.isfinite(c) and c > 0):
         raise ValueError(f"c must be finite and positive, got {c}")
-    # the ceiling taken on the mpf itself: c * alpha**k can pass the float range
-    reals = [(k, c * find_alpha(k, q).alpha ** k) for k in k_range]
-    lengths = [(k, int(x) + (int(x) < x)) for k, x in reals]
-    for k, n in lengths:  # refuse before counting any k
+    lengths = []
+    for k in k_range:  # refuse at the first n(k) past the cap, before counting any k
+        # the ceiling taken on the mpf itself: c * alpha**k can pass the float range
+        x = c * find_alpha(k, q).alpha ** k
+        n = int(x) + (int(x) < x)
         if n > PROBE_N_CAP:
             raise CapacityError(f"n(k={k}) has {n.bit_length()} bits, exceeds cap {PROBE_N_CAP}")
+        lengths.append((k, n))
     rows = []
     for k, n in lengths:
         size = size_formula(n, k, q)

@@ -99,14 +99,14 @@ class _Group(click.Group):
             return super().invoke(ctx)
 
 
-def _write_manifest(out_path: str, command: str, parameters: dict, seeds=None) -> None:
+def _write_manifest(out_path: str, command: str, parameters: dict) -> None:
     with open(out_path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     manifest = {
         "command": command,
         "parameters": parameters,
         "version": __version__,
-        "seeds": seeds,
+        "seeds": None,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": {os.path.basename(out_path): {"sha256": digest}},
     }

@@ -108,14 +108,6 @@ def _fib_by_doubling(k: int, q: int, n: int) -> int:
     return sum(c * q**i for i, c in enumerate(a))
 
 
-def f_poly(k: int, q: int, x):
-    """x**k - (q-1) * sum(x**i for i in range(k)), by Horner."""
-    acc = x - (q - 1)
-    for _ in range(k - 1):
-        acc = acc * x - (q - 1)
-    return acc
-
-
 def g_poly(k: int, q: int, x):
     """(x-1)*f(x) in the compact form x**k * (x-q) + (q-1)."""
     return x**k * (x - q) + (q - 1)
@@ -256,15 +248,15 @@ def fib_closed_form(k: int, q: int, n: int) -> int:
     )
 
 
-def other_roots_inside_unit_disk(k: int, q: int, tol: float = 1e-8) -> bool:
+def other_roots_inside_unit_disk(k: int, q: int) -> bool:
     """Certify that f has one root of modulus > 1, alpha, and k-1 simple
-    roots strictly inside the unit disk, exactly for every k; `tol` no
-    longer changes the answer.  Proof, on g(x) = (x-1)*f(x) = x**(k+1) -
-    q*x**k + (q-1): on |x| = 1+e, e > 0 small, q*x**k outweighs the rest
-    as k*(q-1) > 1, so by Rouche g has k roots in |x| <= 1 and one, real,
-    past x* below.  A root with |x| = 1 makes |x**(k+1) + q-1| <= q tight,
-    so x**(k+1) = 1 and g(x) = q*(1 - x**k) = 0: x = 1, and f(1) =
-    1 - (q-1)*k != 0.  g' vanishes only at 0 and at x* = qk/(k+1) > 1,
-    and g(x*) < g(1) = 0, so every root is simple."""
+    roots strictly inside the unit disk, exactly for every k.  Proof, on
+    g(x) = (x-1)*f(x) = x**(k+1) - q*x**k + (q-1): on |x| = 1+e, e > 0
+    small, q*x**k outweighs the rest as k*(q-1) > 1, so by Rouche g has k
+    roots in |x| <= 1 and one, real, past x* below.  A root with |x| = 1
+    makes |x**(k+1) + q-1| <= q tight, so x**(k+1) = 1 and g(x) =
+    q*(1 - x**k) = 0: x = 1, and f(1) = 1 - (q-1)*k != 0.  g' vanishes
+    only at 0 and at x* = qk/(k+1) > 1, and g(x*) < g(1) = 0, so every
+    root is simple."""
     _check_kq(k, q)
     return k * (q - 1) > 1 and g_poly(k, q, Fraction(q * k, k + 1)) < 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
@@ -50,28 +50,6 @@ class SyncStats:
     min: int
     max: int
     truncated: int = 0
-
-
-def first_match_time(code: Code, stream: Iterable[int], cap: Optional[int] = None) -> Optional[int]:
-    """Index (1-based, last symbol of the window) of the first codeword
-    occurrence in the stream; None if the cap is reached first.
-
-    The rolling window is kept as a base-q integer, which encodes the
-    window exactly, so this equals a naive sliding-window comparison.
-    """
-    n, q = code.n, code.q
-    targets = set(code.values)
-    modulus = q ** (n - 1)
-    window = 0
-    for t, s in enumerate(stream, start=1):
-        if not 0 <= s < q:
-            raise ValueError(f"symbol {s} outside alphabet Z_{q}")
-        window = (window % modulus) * q + s
-        if t >= n and window in targets:
-            return t
-        if cap is not None and t >= cap:
-            return None
-    return None
 
 
 def _windows(buf: np.ndarray, n: int, q: int) -> np.ndarray:

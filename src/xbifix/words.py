@@ -83,15 +83,6 @@ class Word:
     def __iter__(self) -> Iterator[int]:
         return iter(self.symbols)
 
-    @classmethod
-    def run(cls, symbol: int, count: int, q: int) -> "Word":
-        """The constant word symbol^count."""
-        return cls((symbol,) * count, q)
-
-    @classmethod
-    def from_digits(cls, text: str, q: int) -> "Word":
-        return cls.from_value(_decode(text, q), len(text), q)
-
     def to_digits(self) -> str:
         return "".join(DIGITS[s] for s in self.symbols)
 
@@ -116,23 +107,9 @@ class Word:
         return f"Word({self.to_digits()!r}, q={self.q})"
 
 
-def prefix(w: Word, length: int) -> Word:
-    """The first `length` symbols of w; proper prefixes only."""
-    if not 1 <= length <= len(w) - 1:
-        raise ValueError(f"prefix length {length} not in [1, {len(w) - 1}]")
-    return Word(w.symbols[:length], w.q)
-
-
-def suffix(w: Word, length: int) -> Word:
-    """The last `length` symbols of w; proper suffixes only."""
-    if not 1 <= length <= len(w) - 1:
-        raise ValueError(f"suffix length {length} not in [1, {len(w) - 1}]")
-    return Word(w.symbols[-length:], w.q)
-
-
 def cross_pair_ok(u: Word, v: Word) -> bool:
     """True iff no proper prefix of either word is a proper suffix of the
-    other.  cross_pair_ok(w, w) coincides with is_bifix_free(w)."""
+    other.  cross_pair_ok(w, w) says whether w is bifix-free."""
     if len(u) != len(v):
         raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
     if u.q != v.q:
@@ -147,12 +124,6 @@ def bifix_free(values: Iterable[int], n: int, q: int) -> list[int]:
         cut, mod = q ** (n - length), q**length
         values = [v for v in values if v // cut != v % mod]
     return list(values)
-
-
-def is_bifix_free(w: Word) -> bool:
-    """True iff no proper prefix of w equals a suffix of w of the same
-    length.  Length-1 words are bifix-free vacuously (no proper affixes)."""
-    return bool(bifix_free([w.to_value()], len(w), w.q))
 
 
 def _decode(text: str, q: int) -> int:

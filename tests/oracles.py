@@ -6,6 +6,7 @@ all-pairs scans) and are never imported by the package itself.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from xbifix.construction import ENUM_CAP, validate_params
@@ -83,10 +84,19 @@ def compatibility_matrix(values, n: int, q: int):
     return ok
 
 
-def naive_first_match_time(code: Code, stream: list[int]) -> int | None:
-    words = {w.symbols for w in code.words}
+@functools.lru_cache(maxsize=4)
+def _word_symbols(code: Code) -> frozenset[tuple[int, ...]]:
+    return frozenset(w.symbols for w in code.words)
+
+
+def naive_first_match_time(code: Code, stream: list[int], cap: int | None = None) -> int | None:
+    """The 1-based index of the last symbol of the first window that is a
+    codeword; None if there is none within the stream's first `cap` symbols.
+    A replay scans many streams of one code, so its word set is kept."""
+    words = _word_symbols(code)
     n = code.n
-    for t in range(n, len(stream) + 1):
+    end = len(stream) if cap is None else min(cap, len(stream))
+    for t in range(n, end + 1):
         if tuple(stream[t - n:t]) in words:
             return t
     return None
@@ -132,6 +142,15 @@ def naive_fib_mod(k: int, q: int, n: int, p: int) -> int:
     for _ in range(n - k + 1):
         values = values[1:] + [(q - 1) * sum(values) % p]
     return values[min(n, k - 1)]
+
+
+def f_poly(k: int, q: int, x):
+    """f(x) = x**k - (q-1) * (x**(k-1) + ... + x + 1), by Horner: the
+    characteristic polynomial whose shift (x-1)*f(x) fibonacci.g_poly is."""
+    acc = x - (q - 1)
+    for _ in range(k - 1):
+        acc = acc * x - (q - 1)
+    return acc
 
 
 def numeric_roots_inside_unit_disk(k: int, q: int, tol: float = 1e-8) -> bool:

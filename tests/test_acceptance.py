@@ -15,7 +15,6 @@ from xbifix.clique import build_graph, max_clique
 from xbifix.construction import best_size, generate_direct, size_formula
 from xbifix.fibonacci import (
     beta_bracket,
-    f_poly,
     fib,
     fib_closed_form,
     find_alpha,
@@ -23,13 +22,14 @@ from xbifix.fibonacci import (
     kq_threshold,
     other_roots_inside_unit_disk,
 )
-from xbifix.sim import SimConfig, first_match_time, run_sim
-from xbifix.words import is_bifix_free, is_nonexpandable, verify_code
+from xbifix.sim import SimConfig, match_times, run_sim
+from xbifix.words import bifix_free, is_nonexpandable, verify_code
 
-from oracles import all_words, generate_recursive, naive_first_match_time, naive_is_bifix_free
+from oracles import all_words, f_poly, generate_recursive, naive_first_match_time, naive_is_bifix_free
 from test_construction import TABLE as CONSTRUCTION_TABLE
 from test_bounds import BILOTTA as BILOTTA_TABLE
 from test_clique import OPTIMAL as OPTIMAL_TABLE
+from test_sim import record_draws, replay
 
 
 def report(num, text):
@@ -129,7 +129,7 @@ def test_criterion_6_root_properties():
             if k >= threshold:
                 _, lower = beta_bracket(k, q, bits)
                 assert 1 < lower < est.hi < q
-            assert other_roots_inside_unit_disk(k, q, tol=1e-8), (k, q)
+            assert other_roots_inside_unit_disk(k, q), (k, q)
     report(6, "alpha in (1,q), beta lower bound, unique root outside unit disk")
 
 
@@ -174,11 +174,11 @@ def test_criterion_8_simulator(n, k, M):
     )
 
 
-def test_criterion_9_property_suites():
+def test_criterion_9_property_suites(monkeypatch):
     # bifix oracle equivalence over all binary words up to length 12
     for n in range(2, 13):
-        for w in all_words(n, 2):
-            assert is_bifix_free(w) == naive_is_bifix_free(w.symbols)
+        for v, w in enumerate(all_words(n, 2)):
+            assert bool(bifix_free([v], n, 2)) == naive_is_bifix_free(w.symbols)
     # g(x) = (x-1) f(x) identity
     import random
 
@@ -189,13 +189,14 @@ def test_criterion_9_property_suites():
         assert math.isclose(
             g_poly(k, q, x), (x - 1) * f_poly(k, q, x), rel_tol=1e-12, abs_tol=1e-9
         )
-    # scanner replay equivalence
-    import numpy as np
-
-    code = generate_direct(7, 2, 2)
-    for seed in range(1000):
-        stream = np.random.default_rng(seed).integers(0, 2, size=400).tolist()
-        assert first_match_time(code, stream) == naive_first_match_time(code, stream)
+    # scanner replay: 1,000 trials on streams of up to 400 symbols, each
+    # trial's time against the naive scanner on the symbols it drew
+    draws = record_draws(monkeypatch)
+    cfg = SimConfig(code=generate_direct(7, 2, 2), trials=1000, seed=0, max_stream=400)
+    times = match_times(cfg)
+    streams, _ = replay(cfg, draws, times)
+    for trial, stream in enumerate(streams):
+        assert times[trial] == (naive_first_match_time(cfg.code, stream, cap=400) or 0), trial
     # clique witnesses are verified codes
     for n in (7, 9, 10):
         assert verify_code(max_clique(build_graph(n, 2)).witness)

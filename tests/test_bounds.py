@@ -8,7 +8,6 @@ from xbifix.bounds import (
     bilotta_size,
     bounds_report,
     catalan,
-    dist_seq_bound,
     target_ratio,
     upper_bound,
     variance_formula,
@@ -83,22 +82,6 @@ class TestBilotta:
             bilotta_size(2)
 
 
-class TestDistSeq:
-    def test_examples(self):
-        bound, h = dist_seq_bound(17)
-        assert bound == pytest.approx(512.0)
-        assert h == 8
-        bound, h = dist_seq_bound(5)
-        assert bound == pytest.approx(2.0)
-        assert h == 4
-
-    def test_h_is_minimal(self):
-        for n in range(2, 60):
-            _, h = dist_seq_bound(n)
-            assert h * h // 4 + 1 >= n
-            assert (h - 1) * (h - 1) // 4 + 1 < n
-
-
 class TestProbe:
     def test_targets(self):
         assert target_ratio(2) == pytest.approx(1 / (2 * math.e))
@@ -156,6 +139,20 @@ class TestProbe:
         monkeypatch.setattr(bounds, "size_formula", refuse)
         with pytest.raises(CapacityError, match="k=17"):
             asymptotic_probe(2, range(15, 21))
+
+    def test_wide_range_refused_at_first_length_past_cap(self):
+        # a range up to k = 200,000 must not root every k before refusing:
+        # no k past 40 may be drawn
+        from xbifix.words import CapacityError
+
+        def ks():
+            for k in range(2, 200_001):
+                if k > 40:
+                    raise AssertionError(f"drew k={k} past the first length over the cap")
+                yield k
+
+        with pytest.raises(CapacityError, match="^n\\(k=17\\) has 18 bits, exceeds cap 200000$"):
+            asymptotic_probe(2, ks())
 
 
 class TestReport:

@@ -60,6 +60,7 @@ class TestGen:
         manifest = json.loads((tmp_path / "code.txt.manifest.json").read_text())
         assert manifest["command"] == "gen"
         assert manifest["parameters"] == {"n": 7, "k": 2, "q": 2}
+        assert manifest["seeds"] is None  # the key stays, so manifests keep their layout
         assert "sha256" in manifest["outputs"]["code.txt"]
 
     def test_bad_params_usage_error(self, runner):
@@ -427,6 +428,7 @@ class TestErrors:
             (["probe", "--q", "1", "--k-max", "5"], 2),
             (["probe", "--k-max", "5", "--c", "1e300"], 3),
             (["probe", "--k-min", "1100", "--k-max", "1100"], 3),  # n(k) past the float range
+            (["probe", "--k-max", "200000"], 3),  # refused at k = 17, before rooting k = 18
             (["clique", "--n", "6", "--budget", "0"], 2),
             (["clique", "--n", "11", "--budget", "nan"], 2),
             (["clique", "--n", "4", "--q", "1"], 2),
@@ -457,6 +459,8 @@ class TestErrors:
             assert result.stderr == "usage: alphabet size must be in [2, 36], got 40\n"
         if "1e300" in args:  # the refused length is named, not printed
             assert result.stderr == "capacity: n(k=4) has 1001 bits, exceeds cap 200000\n"
+        if "200000" in args:
+            assert result.stderr == "capacity: n(k=17) has 18 bits, exceeds cap 200000\n"
 
 
 # Runs the command line in a fresh interpreter, then prints which of the

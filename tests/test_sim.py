@@ -7,49 +7,14 @@ import pytest
 from xbifix import sim
 from xbifix.bounds import variance_formula
 from xbifix.construction import generate_direct
-from xbifix.sim import SimConfig, first_match_time, match_times, run_sim
+from xbifix.sim import SimConfig, match_times, run_sim
 from xbifix.words import CapacityError, Code, Word
 
 from oracles import exact_pmf, naive_first_match_time
 
 
 def W(digits, q=2):
-    return Word.from_digits(digits, q)
-
-
-class TestFirstMatch:
-    def test_immediate_match(self):
-        code = Code.from_words([W("001")])
-        assert first_match_time(code, [0, 0, 1, 1, 1]) == 3
-
-    def test_hand_trace(self):
-        code = Code.from_words([W("001")])
-        assert first_match_time(code, [1, 1, 0, 0, 1, 0]) == 5
-
-    def test_cap(self):
-        code = Code.from_words([W("001")])
-        assert first_match_time(code, [1, 1, 1, 1], cap=4) is None
-
-    def test_bad_symbol(self):
-        code = Code.from_words([W("001")])
-        with pytest.raises(ValueError):
-            first_match_time(code, [0, 2, 1])
-
-    def test_replay_equivalence(self):
-        code = generate_direct(7, 2, 2)
-        for seed in range(1000):
-            rng = np.random.default_rng(seed)
-            stream = rng.integers(0, 2, size=400).tolist()
-            fast = first_match_time(code, stream)
-            naive = naive_first_match_time(code, stream)
-            assert fast == naive, seed
-
-    def test_replay_equivalence_ternary(self):
-        code = generate_direct(6, 2, 3)
-        for seed in range(200):
-            rng = np.random.default_rng(seed + 5000)
-            stream = rng.integers(0, 3, size=200).tolist()
-            assert first_match_time(code, stream) == naive_first_match_time(code, stream)
+    return Word.from_value(int(digits, q), len(digits), q)
 
 
 class TestRunSim:
@@ -138,22 +103,12 @@ class TestRunSim:
     def test_matches_streamed_scanner(self, monkeypatch):
         # every trial's time must equal the symbol-at-a-time scanner's on
         # that trial's symbols, replayed from the draws the run made
-        draws = []
-        real_rng = np.random.default_rng
-
-        class Recorder:
-            def __init__(self, *args):
-                self.rng = real_rng(*args)
-
-            def integers(self, *args, **kwargs):
-                out = self.rng.integers(*args, **kwargs)
-                draws.append(out.copy())
-                return out
-
-        monkeypatch.setattr(np.random, "default_rng", Recorder)
+        draws = record_draws(monkeypatch)
         cases = [
             # enough trials for a pass to span several blocks
             (SimConfig(code=generate_direct(7, 2, 2), trials=5000, seed=21), 2),
+            # a ternary code
+            (SimConfig(code=generate_direct(6, 2, 3), trials=200, seed=21), 1),
             # a length-1 code: nothing carries over between passes
             (SimConfig(code=Code.from_words([W("z", q=36)]), trials=300, seed=21), 1),
             # 13,624 words: the scanner's target set is built once per call
@@ -164,10 +119,10 @@ class TestRunSim:
         for cfg, min_blocks in cases:
             draws.clear()
             times = match_times(cfg)
-            streams, blocks = _replay(cfg, draws, times)
+            streams, blocks = replay(cfg, draws, times)
             assert max(blocks) >= min_blocks
             for trial, stream in enumerate(streams):
-                t_ref = first_match_time(cfg.code, stream, cap=cfg.max_stream)
+                t_ref = naive_first_match_time(cfg.code, stream, cap=cfg.max_stream)
                 assert times[trial] == (t_ref or 0), trial
                 if t_ref is None:
                     assert len(stream) == cfg.max_stream
@@ -176,7 +131,25 @@ class TestRunSim:
         assert (times == 0).any() and (times > 0).any()
 
 
-def _replay(cfg, draws, times):
+def record_draws(monkeypatch):
+    """The list that each array the simulator draws from now on is appended to."""
+    draws = []
+    real_rng = np.random.default_rng
+
+    class Recorder:
+        def __init__(self, *args):
+            self.rng = real_rng(*args)
+
+        def integers(self, *args, **kwargs):
+            out = self.rng.integers(*args, **kwargs)
+            draws.append(out.copy())
+            return out
+
+    monkeypatch.setattr(np.random, "default_rng", Recorder)
+    return draws
+
+
+def replay(cfg, draws, times):
     """Each trial's symbols, from the run's draws in its layout: a pass
     walks the unfinished trials in order, each draw giving the next rows
     one row apiece; a trial is finished once its reported time, or else
