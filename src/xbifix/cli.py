@@ -58,8 +58,9 @@ def _all_digits():
 
 @contextmanager
 def _usage_line():
-    """Report an error as one stderr line: a usage error or a ValueError
-    (a malformed code file included) exits 2, a CapacityError exits 3."""
+    """Report an error as one stderr line: a usage error, a ValueError (a
+    malformed code file) or an OSError (an unwritable output) exits 2, a
+    CapacityError exits 3."""
     try:
         yield
     except getattr(click.exceptions, "NoArgsIsHelpError", ()):
@@ -67,7 +68,7 @@ def _usage_line():
     except click.UsageError as exc:
         click.echo(f"usage: {exc.format_message()}", err=True)
         raise SystemExit(EXIT_USAGE)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         click.echo(f"usage: {exc}", err=True)
         raise SystemExit(EXIT_USAGE)
     except CapacityError as exc:
@@ -184,7 +185,7 @@ def alpha(k, q, bits, as_json):
 @click.option("--markdown", is_flag=True)
 @click.option(
     "--clique-upto",
-    type=int,
+    type=click.IntRange(min=0),
     default=0,
     show_default=True,
     help="also compute exact optima up to this length",

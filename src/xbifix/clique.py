@@ -17,8 +17,9 @@ The solver is a branch-and-bound over bitset candidate sets, seeded from
 n = 4 on with the constructed code, which lies in the s = 1 set.  Its upper
 bounds come from a greedy coloring built one class at a time (as in BBMC,
 San Segundo et al. 2011); only vertices in classes that can still beat
-the incumbent are branched on, the highest class first.  C(12,2) = 81
-certifies in 105 nodes, C(13,2) = 149 in 655 and C(6,4) = 251 in 268.
+the incumbent are branched on, the highest class first.  It keeps its own
+stack of open nodes, so no interpreter limit bounds its depth, the clique
+size.  C(13,2) = 149 certifies in 655 nodes, C(3,19) = 1,014 in 1,014.
 """
 
 from __future__ import annotations
@@ -125,20 +126,19 @@ def max_clique(graph: CompatGraph, time_budget: float | None = None) -> CliqueRe
     deadline = None if time_budget is None else start + time_budget
     adj = graph.adjacency
     best = _seed_clique(graph)
-    nodes = 0
-    out_of_budget = False
-
-    def expand(clique: list[int], candidates: int) -> None:
-        nonlocal best, nodes, out_of_budget
+    nodes, optimal = 0, True
+    clique: list[int] = []  # per open node but the root, the vertex it was entered by
+    stack: list[tuple] = []  # per open node: (candidates, classes, members, floor)
+    rest = (1 << len(adj)) - 1  # the candidates of the node to open next
+    while True:
         nodes += 1
         # the budget is checked once a witness exists, so one is returned
-        if out_of_budget or (deadline is not None and best and time.monotonic() > deadline):
-            out_of_budget = True
-            return
+        if deadline is not None and best and time.monotonic() > deadline:
+            optimal = False
+            break
         # greedy coloring of the candidate set, one class at a time; a
         # vertex of the i-th class extends the clique by at most i + 1
-        classes: list[int] = []
-        uncolored = candidates
+        classes, uncolored = [], rest
         while uncolored:
             cls, members = uncolored, 0
             while cls:
@@ -147,31 +147,29 @@ def max_clique(graph: CompatGraph, time_budget: float | None = None) -> CliqueRe
                 cls &= ~(bit | adj[bit.bit_length() - 1])
             uncolored &= ~members
             classes.append(members)
-        # the first len(best) - len(clique) classes cannot improve on best;
-        # they are dropped rather than held through the recursion below
+        # the first len(best) - len(clique) classes cannot improve on best
         cut = max(len(best) - len(clique), 0)
         del classes[:cut]
-        floor = len(clique) + cut
+        stack.append((rest, classes, 0, len(clique) + cut))
         # branch on the highest classes first, the highest vertex of each first
-        while classes:
-            members = classes.pop()
-            while members:
-                if floor + len(classes) + 1 <= len(best):
-                    return
-                v = members.bit_length() - 1
-                members ^= 1 << v
+        while stack:
+            candidates, classes, members, floor = stack[-1]
+            if not members and classes:
+                members = classes.pop()
+            if not members or floor + len(classes) + 1 <= len(best):
+                stack.pop()  # nothing left to branch on, or nothing that can beat best
+                del clique[-1:]  # the vertex it was entered by; the root has none
+                continue
+            v = members.bit_length() - 1
+            stack[-1] = (candidates ^ 1 << v, classes, members ^ 1 << v, floor)
+            rest = candidates & adj[v]  # adj[v] never holds v itself
+            if rest:
                 clique.append(v)
-                rest = candidates & adj[v]
-                if rest:
-                    expand(clique, rest)
-                elif len(clique) > len(best):
-                    best = clique.copy()
-                clique.pop()
-                candidates ^= 1 << v
-                if out_of_budget:
-                    return
-
-    expand([], (1 << len(adj)) - 1)
+                break
+            if len(clique) >= len(best):  # a leaf: clique + [v] extends no further
+                best = clique + [v]
+        else:
+            break
 
     witness = Code(tuple(sorted(graph.vertices[v] for v in best)), graph.n, graph.q)
     if not verify_code(witness):
@@ -181,5 +179,5 @@ def max_clique(graph: CompatGraph, time_budget: float | None = None) -> CliqueRe
         witness=witness,
         nodes_explored=nodes,
         wall_time=time.monotonic() - start,
-        optimal=not out_of_budget,
+        optimal=optimal,
     )

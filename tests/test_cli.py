@@ -444,6 +444,9 @@ class TestErrors:
             (["clique", "--n", "3", "--q", "40"], 2),
             (["clique", "--long", "--n", "3", "--q", "40"], 2),
             (["table", "--q", "40", "--n-max", "5", "--clique-upto", "5"], 2),
+            (["table", "--n-max", "5", "--clique-upto", "-1"], 2),
+            (["gen", "--n", "7", "--k", "2", "--out", "/nonexistent/x.txt"], 2),
+            (["clique", "--n", "7", "--witness-out", "/nonexistent/x.txt"], 2),
         ],
         ids=lambda a: " ".join(a) if isinstance(a, list) else f"exit-{a}",
     )

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import types
 
 import numpy as np
@@ -21,10 +22,11 @@ from oracles import (
 # published exact optima for the binary alphabet (bold table entries), and
 # C(13,2) as the search certifies it
 OPTIMAL = {3: 1, 4: 1, 5: 2, 6: 3, 7: 5, 8: 8, 9: 14, 10: 24, 11: 44, 12: 81, 13: 149}
-# exact optima for q = 3 and 4, as the search certifies them
-OPTIMAL_Q = {3: {3: 4, 4: 8, 5: 17, 6: 41, 7: 99}, 4: {3: 9, 4: 27, 5: 81, 6: 251}}
-# search nodes allowed, (n, q): 105, 655 and 268 measured with the split graph
-NODE_CEILING = {(12, 2): 360, (13, 2): 1180, (6, 4): 400}
+# exact optima for q = 3, 4 and 10, as the search certifies them; C(4,10)
+# = 1,029 takes a clique, and so a search, deeper than 1,000 levels
+OPTIMAL_Q = {3: {3: 4, 4: 8, 5: 17, 6: 41, 7: 99}, 4: {3: 9, 4: 27, 5: 81, 6: 251}, 10: {4: 1029}}
+# search nodes allowed, (n, q): 105, 655, 268 and 1,029 measured with the split graph
+NODE_CEILING = {(12, 2): 360, (13, 2): 1180, (6, 4): 400, (4, 10): 1500}
 
 
 def brute_force_max_clique(n, q):
@@ -288,6 +290,22 @@ class TestMaxClique:
 
     def test_ternary_brute_force_agreement(self):
         assert max_clique(build_graph(4, 3)).size == brute_force_max_clique(4, 3)
+
+    def test_depth_is_not_bounded_by_the_interpreter(self):
+        # C(5,5) = 256 takes a clique of 256 vertices, deeper than the
+        # recursion limit allows here: the search keeps its own stack
+        g = build_graph(5, 5)
+        frame, depth = sys._getframe(), 0
+        while frame:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            result = max_clique(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert result.optimal
+        assert result.size == len(result.witness) == 256
 
     def test_determinism(self):
         g = build_graph(9, 2)
