@@ -259,6 +259,8 @@ def clique(n, q, budget, long_run, witness_out):
     """Exact maximum cross-bifix-free code size by clique search."""
     if not long_run:
         _desk_scale(n, q, "pass --long to run anyway (runtime may be hours)")
+    if witness_out:  # an unwritable path fails before the search, not after it
+        open(witness_out, "a").close()
     result = max_clique(build_graph(n, q), time_budget=budget)
     status = "optimal" if result.optimal else "lower bound only (budget exhausted)"
     click.echo(

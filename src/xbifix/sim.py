@@ -9,6 +9,9 @@ bound.
 Trials draw their symbols in blocks from one generator per run, so
 results are deterministic for a fixed (seed, trials, code, max_stream).
 Windows are base-q int64 values: codes with q**n above 2**63 are refused.
+A window is tested in a bool flag table up to q**n = 2**20 (1 MB), by
+binary search in the codeword values above.  Configs whose per-trial
+state exceeds STATE_CAP bytes are refused before any array exists.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from .words import CapacityError, Code, verify_code
 
 DEFAULT_MAX_STREAM = 1_000_000
 _CELLS = 1 << 14  # symbols per block, carried ones included
+_TABLE_MAX = 1 << 20  # q**n up to which windows are looked up in a flag table
+STATE_CAP = 1 << 29  # bytes of per-trial state: times and alive (int64), n-1 carried symbols
 
 
 @dataclass(frozen=True)
@@ -38,6 +43,11 @@ class SimConfig:
             raise ValueError("trials and max_stream must be >= 1")
         if self.code.q**self.code.n > 2**63:
             raise CapacityError(f"q**n = {self.code.q}**{self.code.n} exceeds 2**63")
+        state = self.trials * (16 + self.code.n - 1)
+        if state > STATE_CAP:
+            raise CapacityError(
+                f"{self.trials} trials need {state} bytes of state, exceeds cap {STATE_CAP}"
+            )
         if not verify_code(self.code):
             raise ValueError("code is not cross-bifix-free")
 
@@ -70,7 +80,15 @@ def match_times(cfg: SimConfig) -> np.ndarray:
     import numpy as np
     n, q, cap = cfg.code.n, cfg.code.q, cfg.max_stream
     targets = np.asarray(cfg.code.values, dtype=np.int64)
-    padded = np.append(targets, -1)  # no window is -1
+    if q**n <= _TABLE_MAX:  # one flag per window value
+        table = np.zeros(q**n, dtype=bool)
+        table[targets] = True
+        is_target = table.take
+    else:  # windows reach 2**63, too many values to flag: binary search
+        padded = np.append(targets, -1)  # no window is -1
+
+        def is_target(win):
+            return padded[np.searchsorted(targets, win)] == win
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     times = np.zeros(cfg.trials, dtype=np.int64)
     alive, carry = np.arange(cfg.trials), np.empty((cfg.trials, 0), dtype=np.uint8)
@@ -87,7 +105,7 @@ def match_times(cfg: SimConfig) -> np.ndarray:
             fresh = rng.integers(0, q, size=(len(block), take), dtype=np.uint8)
             buf = np.concatenate([carry[lo:lo + rows], fresh], axis=1)
             win = _windows(buf, n, q)
-            hits = padded[np.searchsorted(targets, win)] == win
+            hits = is_target(win)
             found = hits.any(axis=1)
             # window s ends at stream position produced - kept + s + n
             times[block[found]] = produced - kept + n + hits[found].argmax(axis=1)

@@ -1,10 +1,12 @@
 import hashlib
 import importlib
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -242,6 +244,31 @@ class TestClique:
         assert f"{parameters['nodes_explored']} nodes, {parameters['wall_time']:.2f}s]" in result.output
         assert parameters["wall_time"] >= 0
 
+    def test_unwritable_witness_fails_before_the_search(self, runner, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr("xbifix.cli.max_clique", no_search)
+        result = runner.invoke(main, ["clique", "--n", "7", "--witness-out", "/nonexistent/x.txt"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "usage: [Errno 2] No such file or directory: '/nonexistent/x.txt'\n"
+
+    def test_budget_exhausted_run_writes_its_witness(self, runner, monkeypatch, tmp_path):
+        # a clock past the deadline at once: the search stops at its first
+        # node with the seed, S(9,2) = 13 words, as its witness
+        ticks = itertools.count()
+        monkeypatch.setattr(
+            "xbifix.clique.time", types.SimpleNamespace(monotonic=lambda: 10.0 * next(ticks))
+        )
+        out = tmp_path / "witness.txt"
+        result = runner.invoke(main, ["clique", "--n", "9", "--budget", "1", "--witness-out", str(out)])
+        assert result.exit_code == 3
+        assert result.stdout.startswith("C(9,2) >= 13  [lower bound only")
+        assert len(parse_code(out.read_text())) == 13
+        manifest = json.loads((tmp_path / "witness.txt.manifest.json").read_text())
+        assert manifest["parameters"]["optimal"] is False
+
     def test_long_gate(self, runner):
         result = runner.invoke(main, ["clique", "--n", "15"])
         assert result.exit_code == 2
@@ -447,10 +474,15 @@ class TestErrors:
             (["table", "--n-max", "5", "--clique-upto", "-1"], 2),
             (["gen", "--n", "7", "--k", "2", "--out", "/nonexistent/x.txt"], 2),
             (["clique", "--n", "7", "--witness-out", "/nonexistent/x.txt"], 2),
+            (["sim", "--code", "<code>", "--trials", "2000000000"], 3),  # past sim.STATE_CAP
         ],
         ids=lambda a: " ".join(a) if isinstance(a, list) else f"exit-{a}",
     )
-    def test_one_stderr_line_no_traceback(self, runner, args, code):
+    def test_one_stderr_line_no_traceback(self, runner, tmp_path, args, code):
+        if "<code>" in args:  # the (7,2,2) code file
+            path = tmp_path / "c7.txt"
+            write_code(generate_direct(7, 2, 2), path)
+            args = [str(path) if a == "<code>" else a for a in args]
         result = runner.invoke(main, args)
         assert result.exit_code == code
         assert isinstance(result.exception, SystemExit)
@@ -464,6 +496,10 @@ class TestErrors:
             assert result.stderr == "capacity: n(k=4) has 1001 bits, exceeds cap 200000\n"
         if "200000" in args:
             assert result.stderr == "capacity: n(k=17) has 18 bits, exceeds cap 200000\n"
+        if "2000000000" in args:  # 22 bytes a trial: times, alive and 6 carried symbols
+            assert result.stderr == (
+                "capacity: 2000000000 trials need 44000000000 bytes of state, exceeds cap 536870912\n"
+            )
 
 
 # Runs the command line in a fresh interpreter, then prints which of the

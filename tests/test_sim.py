@@ -1,4 +1,5 @@
 import statistics
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -74,6 +75,49 @@ class TestRunSim:
         with pytest.raises(CapacityError):
             SimConfig(code=code, trials=1)
 
+    def test_trials_state_cap(self):
+        # (7,2,2) keeps 22 bytes a trial: times and alive, and 6 carried symbols
+        code = generate_direct(7, 2, 2)
+        SimConfig(code=code, trials=sim.STATE_CAP // 22)
+        with pytest.raises(CapacityError, match="exceeds cap"):
+            SimConfig(code=code, trials=sim.STATE_CAP // 22 + 1)
+
+    def test_trials_refused_before_any_array(self, monkeypatch):
+        def no_run(cfg):
+            raise AssertionError("the simulator ran")
+
+        monkeypatch.setattr(sim, "match_times", no_run)
+        code = generate_direct(7, 2, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                run_sim(SimConfig(code=code, trials=2_000_000_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("n,k,q", [(7, 2, 2), (7, 2, 3), (16, 5, 2), (20, 10, 2)])
+    def test_flag_table_matches_binary_search(self, monkeypatch, n, k, q):
+        # the same draws give the same times whichever way windows are tested
+        cfg = SimConfig(code=generate_direct(n, k, q), trials=300, seed=17)
+        searches = []
+        real_searchsorted = np.searchsorted
+
+        def counted(*args, **kwargs):
+            searches.append(1)
+            return real_searchsorted(*args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counted)
+        assert q**n <= sim._TABLE_MAX
+        table = match_times(cfg)
+        assert not searches
+        monkeypatch.setattr(sim, "_TABLE_MAX", 0)
+        searched = match_times(cfg)
+        assert searches
+        assert (table > 0).all()
+        assert table.tolist() == searched.tolist()
+
     def test_truncation_flagged(self):
         code = Code.from_words([W("0011")])
         stats = run_sim(SimConfig(code=code, trials=200, seed=4, max_stream=8))
@@ -116,6 +160,9 @@ class TestRunSim:
             # max_stream cuts the second pass's take from 19 symbols to 11
             (SimConfig(code=generate_direct(7, 2, 2), trials=5000, seed=21, max_stream=30), 2),
         ]
+        # the flag table and the binary search each face the scanner
+        sizes = [cfg.code.q**cfg.code.n for cfg, _ in cases]
+        assert min(sizes) <= sim._TABLE_MAX < max(sizes)
         for cfg, min_blocks in cases:
             draws.clear()
             times = match_times(cfg)
