@@ -116,9 +116,10 @@ def _seed_clique(graph: CompatGraph) -> list[int]:
 def max_clique(graph: CompatGraph, time_budget: float | None = None) -> CliqueResult:
     """Branch-and-bound maximum clique with greedy coloring bounds.
 
-    Within the budget the result is the exact maximum (optimal=True);
-    on budget exhaustion the best clique found so far is returned with
-    optimal=False, a lower bound only.
+    Within the budget the result is the exact maximum (optimal=True).
+    The budget is read at every node; once spent, the larger of the best
+    clique found and the path to the current node (one vertex at the
+    root) is returned with optimal=False, a lower bound only.
     """
     if time_budget is not None and not time_budget > 0:
         raise ValueError("time_budget must be positive")
@@ -132,9 +133,9 @@ def max_clique(graph: CompatGraph, time_budget: float | None = None) -> CliqueRe
     rest = (1 << len(adj)) - 1  # the candidates of the node to open next
     while True:
         nodes += 1
-        # the budget is checked once a witness exists, so one is returned
-        if deadline is not None and best and time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             optimal = False
+            best = max(best, clique or [0], key=len)
             break
         # greedy coloring of the candidate set, one class at a time; a
         # vertex of the i-th class extends the clique by at most i + 1

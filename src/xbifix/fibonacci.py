@@ -11,12 +11,12 @@ generating function (1 - x**k) / (1 - q*x + (q-1)*x**(k+1)) gives F(n) =
 a(n) - a(n-k), where a(m) = sum((-1)**j * C(m-k*j, j) * (q-1)**j *
 q**(m-(k+1)*j) for 0 <= j <= m/(k+1)): n/(k+1) terms, which short
 lengths use.  Since f is the recurrence's characteristic polynomial,
-x**n mod f(x) gives F(n) as a combination of the first k values, which
-long lengths use.  The auxiliary polynomial g(x) = (x-1)*f(x) =
-x**k * (x - q) + (q-1) is negative on (1, alpha) and positive on
-(alpha, infinity), so the sign of g, evaluated in interval arithmetic,
-certifies a bracket around alpha; its compact form is also the cheap
-target for Newton's method.
+x**n mod f(x) gives F(n) from the first 2k values in O(k**2 log n)
+products, plus k at the last level, which long lengths use.  The
+auxiliary polynomial g(x) = (x-1)*f(x) = x**k * (x - q) + (q-1) is
+negative on (1, alpha) and positive on (alpha, infinity), so the sign of
+g, evaluated in interval arithmetic, certifies a bracket around alpha;
+its compact form is also the cheap target for Newton's method.
 """
 
 from __future__ import annotations
@@ -52,10 +52,9 @@ def fib(k: int, q: int, n: int) -> int:
     """Exact F_{k,q}(n) in O(k) live integers, by one of two paths split
     at n = max(16*k*(k+1), k**4 * log2(q) / 18), fitted to timings for
     q = 2, 3, 5 and k = 2..40: the zero-run sum in O(n/k) terms below it,
-    doubling in O(k**2 log n) products from there on.  The second term
-    follows doubling's products, which grow as long as F(n).  Near the
-    boundary for k >= 24, stepping the recurrence in O(n) operations
-    measured up to 2x faster than both."""
+    doubling in O(k**2 log n) products, plus k at the last level, from
+    there on.  The second term follows doubling's products, which grow as
+    long as F(n).  The fit predates doubling's unsquared last level."""
     _check_kq(k, q, n)
     # the exact term first: past k = 10**77, k**4 overflows a float
     if n < 16 * k * (k + 1) or n < k**4 * math.log2(q) / 18:
@@ -81,16 +80,20 @@ def _fib_by_zero_runs(k: int, q: int, n: int) -> int:
 
 
 def _fib_by_doubling(k: int, q: int, n: int) -> int:
-    """Fiduccia, SIAM J. Comput. 14 (1985): x**n = sum(c_i * x**i) mod f(x)
-    by square-and-multiply, so F(n) = sum(c_i * q**i).  Each square takes
-    about k*k/2 products of symmetric pairs, top degree first; degree
-    d >= k folds back through x**k = (q-1)*(x**(k-1) + ... + 1), so each
-    degree gains q-1 times the running sum of those at most k above it.
-    Every coefficient stays a nonnegative int."""
-    shift = n.bit_length() - k.bit_length() + 1  # n >> shift < k: x**(n >> shift) is reduced
+    """Fiduccia, SIAM J. Comput. 14 (1985): a = x**m mod f(x) for m = n//2
+    by square-and-multiply.  Each square takes about k*k/2 products of
+    symmetric pairs, top degree first; degree d >= k folds back through
+    x**k = (q-1)*(x**(k-1) + ... + 1), so each degree gains q-1 times the
+    running sum of those at most k above it.  The last level is never
+    squared (Bostan & Mori, SOSA 2021): the functional L(x**t) = F(t)
+    vanishes on multiples of f, so with e = n % 2, F(n) = L(a*a * x**e)
+    = sum(a_i * sum(a_j * F(i+j+e))), k products at the top size against
+    the square's k*(k+1)/2, on the small F(0..2k-1).  Every value stays a
+    nonnegative int."""
+    shift = max(n.bit_length() - k.bit_length(), 0) + 1  # n >> shift < k; the last level is L's
     a = [0] * k
     a[n >> shift] = 1
-    for bit in reversed(range(shift)):
+    for bit in reversed(range(1, shift)):
         sq = [0] * (2 * k - 1)
         folding = 0  # sum of sq[d+1 .. d+k] over the degrees >= k
         for d in reversed(range(2 * k - 1)):
@@ -105,7 +108,11 @@ def _fib_by_doubling(k: int, q: int, n: int) -> int:
         if n >> bit & 1:  # times x, folding x**k back
             top = (q - 1) * a[-1]
             a = [top] + [c + top for c in a[:-1]]
-    return sum(c * q**i for i, c in enumerate(a))
+    small = [q**t for t in range(k)]
+    for t in range(k, 2 * k):
+        small.append((q - 1) * sum(small[t - k :]))
+    e = n & 1
+    return sum(c * sum(map(mul, a, small[i + e : i + e + k])) for i, c in enumerate(a))
 
 
 def g_poly(k: int, q: int, x):

@@ -326,17 +326,32 @@ class TestMaxClique:
             assert verify_code(result.witness)
             assert result.size <= OPTIMAL[12]
 
-    def test_budget_waits_for_a_first_witness(self, monkeypatch):
+    @pytest.mark.parametrize("fires_at", [1, 2, 51])
+    def test_budget_returns_the_path_without_a_witness(self, monkeypatch, fires_at):
         # 260 vertices joined to all of a random graph on 80: the search
-        # starts empty, and the budget, checked only once a witness exists,
-        # lets the first descent through all 260; certifying takes 2,016 nodes
+        # starts empty, and its first descent reaches no leaf for 260
+        # nodes; a clock past the deadline at node j returns the j-1
+        # vertices on the path to it, or one vertex at the root
         g = random_graph(0, clique=260, size=340, density=0.7)
         monkeypatch.setattr("xbifix.clique.verify_code", lambda code: True)
-        result = max_clique(g, time_budget=0.001)
-        assert not result.optimal
-        assert len(result.witness) == result.size > 256
+        clock = itertools.chain([0.0] * fires_at, itertools.repeat(10.0))
+        monkeypatch.setattr("xbifix.clique.time", types.SimpleNamespace(monotonic=lambda: next(clock)))
+        result = max_clique(g, time_budget=1.0)
+        assert (result.nodes_explored, result.optimal) == (fires_at, False)
+        assert len(result.witness) == result.size == max(fires_at - 1, 1)
         for u, v in itertools.combinations(result.witness.values, 2):
             assert g.adjacency[u] >> v & 1
+
+    def test_budget_bounds_an_unseeded_search(self):
+        # below n = 4 there is no seed, and the first leaf of (3,19) is its
+        # optimum, 1,014 words certified in about 2 s; far below that
+        # budget the search stops on its path, a verified lower bound
+        g = build_graph(3, 19)
+        result = max_clique(g, time_budget=0.05)
+        assert not result.optimal
+        assert result.wall_time < 1.0
+        assert 1 <= result.size == len(result.witness) < 1014
+        assert verify_code(result.witness)
 
     def test_budget_checked_at_every_node(self, monkeypatch):
         # a clock past the deadline right after the start: the seed, S(9,2)

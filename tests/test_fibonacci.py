@@ -95,12 +95,32 @@ class TestRecurrence:
                 assert fib(k, q, n) == want[n], (k, q, n)
             assert taken[-3:] == [end - 3, end - 2, end - 1], (k, q)
 
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_doubling_matches_definition_at_every_short_length(self, k):
+        # every n up to 300, both parities of the last level and the
+        # smallest shifts, where no square is taken; fib sends none of
+        # these lengths to doubling
+        for q in (2, 3, 5, 36):
+            want = naive_fib_list(k, q, 301)
+            for n in range(301):
+                assert fibonacci._fib_by_doubling(k, q, n) == want[n], (k, q, n)
+
     @pytest.mark.parametrize(
-        "k,q,n", [(2, 2, 200_000), (10, 3, 88_552), (14, 2, 32_738), (24, 3, 29_214), (24, 3, 29_215)]
+        "k,q,n",
+        [
+            (2, 2, 200_000),
+            (10, 3, 88_552),
+            (10, 3, 88_553),
+            (14, 2, 32_738),
+            (14, 2, 32_739),
+            (24, 3, 29_214),
+            (24, 3, 29_215),
+        ],
     )
     def test_long_lengths_match_definition_mod_prime(self, k, q, n):
-        # the probe's lengths, and the last zero-run sum and first doubling
-        # at k = 24, q = 3, against the definition stepped on residues
+        # the probe's lengths and their odd neighbours, and the last
+        # zero-run sum and first doubling at k = 24, q = 3, against the
+        # definition stepped on residues
         p = 2**61 - 1
         assert fib(k, q, n) % p == naive_fib_mod(k, q, n, p)
 
