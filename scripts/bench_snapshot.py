@@ -2,7 +2,7 @@
 
 Usage (from anywhere):
 
-    python3 scripts/bench_snapshot.py LABEL [--seed N] [--seconds S]
+    python3 scripts/bench_snapshot.py LABEL
 
 Runs perfbench/run.py of this checkout once per workload, at --trace 0
 (the end-to-end metrics) and at --trace 1 (the per-layer times and
@@ -24,11 +24,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ["certify", "markers", "counting", "sync"]
+# fixed, so that snapshots taken at different commits stay comparable
+SEED = 1
+SECONDS = 10.0
 
 
-def run(workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run(workload: str, trace: int) -> dict:
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -39,18 +42,16 @@ def run(workload: str, seed: int, seconds: float, trace: int) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label", help="names the output, BENCH_<label>.json")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=10.0, help="per run")
     args = parser.parse_args()
     runs = {}
     for workload in WORKLOADS:
         for trace in (0, 1):
-            runs[f"{workload} --trace {trace}"] = run(workload, args.seed, args.seconds, trace)
+            runs[f"{workload} --trace {trace}"] = run(workload, trace)
             print(f"{workload} --trace {trace}: done", file=sys.stderr)
     snapshot = {
         "label": args.label,
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "seed": SEED,
+        "seconds": SECONDS,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "runs": runs,

@@ -54,7 +54,7 @@ def fib(k: int, q: int, n: int) -> int:
     q = 2, 3, 5 and k = 2..40: the zero-run sum in O(n/k) terms below it,
     doubling in O(k**2 log n) products, plus k at the last level, from
     there on.  The second term follows doubling's products, which grow as
-    long as F(n).  The fit predates doubling's unsquared last level."""
+    long as F(n)."""
     _check_kq(k, q, n)
     # the exact term first: past k = 10**77, k**4 overflows a float
     if n < 16 * k * (k + 1) or n < k**4 * math.log2(q) / 18:
