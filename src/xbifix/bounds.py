@@ -117,8 +117,6 @@ class BoundsReport:
     best_k: int | None
     upper_bound: Fraction
     bilotta: int | None
-    ratio_lower: float
-    ratio_upper: float
 
 
 def bounds_report(n: int, q: int) -> BoundsReport:
@@ -130,6 +128,4 @@ def bounds_report(n: int, q: int) -> BoundsReport:
         best_k=record.best_k,
         upper_bound=upper_bound(n, q),
         bilotta=bilotta_size(n) if q == 2 else None,
-        ratio_lower=record.size * n / q**n,  # int true division rounds correctly
-        ratio_upper=n / (2 * n - 1),
     )

@@ -127,7 +127,6 @@ class RootEstimate:
     alpha: mpmath.mpf
     lo: mpmath.mpf
     hi: mpmath.mpf
-    precision_bits: int
 
 
 @lru_cache(maxsize=4096)
@@ -137,10 +136,10 @@ def find_alpha(k: int, q: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> 
 
     g has its minimum at kq/(k+1) < alpha and is convex beyond
     q(k-1)/(k+1), so the iterates from q fall monotonically to alpha,
-    quadratically.  The bracket around the last iterate lies in
-    [1 + 2**-precision_bits, q], is at most 2**-precision_bits * q wide,
-    and is widened within that bound until g(lo) < 0 < g(hi) holds in
-    interval arithmetic; PrecisionError if it never does.
+    quadratically.  The bracket is the last iterate +- q * 2**-precision_bits
+    / 16 within [1 + 2**-precision_bits, q].  At 16 guard bits g's interval
+    error there is about 2**-12 of |g|, so it certifies in one pass; if
+    g(lo) < 0 < g(hi) fails in interval arithmetic, PrecisionError.
     """
     from mpmath import iv, mp
     _check_kq(k, q)
@@ -156,13 +155,11 @@ def find_alpha(k: int, q: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> 
             x -= step
             if abs(step) < width:
                 break
+        lo, hi = max(x - width / 16, floor), min(x + width / 16, mp.mpf(q))
         old_prec, iv.prec = iv.prec, bits
         try:
-            for offset in (width / 16, width / 8, width / 4, width / 2):
-                lo, hi = max(x - offset, floor), min(x + offset, mp.mpf(q))
-                if g_poly(k, q, iv.mpf(lo)).b < 0 < g_poly(k, q, iv.mpf(hi)).a:
-                    alpha = (lo + hi) / 2
-                    return RootEstimate(alpha=alpha, lo=lo, hi=hi, precision_bits=precision_bits)
+            if g_poly(k, q, iv.mpf(lo)).b < 0 < g_poly(k, q, iv.mpf(hi)).a:
+                return RootEstimate(alpha=(lo + hi) / 2, lo=lo, hi=hi)
         finally:
             iv.prec = old_prec
     raise PrecisionError(f"no certified bracket for k={k}, q={q} at {precision_bits} bits")
@@ -186,7 +183,8 @@ def beta_bracket(k: int, q: int, precision_bits: int = DEFAULT_PRECISION_BITS):
     lower bound q - (q-1)/beta**k < alpha.
 
     Requires k >= kq_threshold(q) so that g is negative at the left end
-    of the bracket.  Returns (beta, lower_bound).
+    of the bracket.  beta is midway from that end to find_alpha's certified
+    lo < alpha: about q**-k/2 below alpha, so g(beta) < 0.  Returns (beta, lower_bound).
     """
     from mpmath import mp
     _check_kq(k, q)
@@ -195,25 +193,18 @@ def beta_bracket(k: int, q: int, precision_bits: int = DEFAULT_PRECISION_BITS):
         raise ValueError(
             f"k={k} below kq_threshold({q})={threshold}; no beta bracket is guaranteed"
         )
-    # alpha sits within (q-1)/q**k of q, and the certified gap between
-    # alpha and the lower bound can shrink like q**(-2k), so the working
-    # precision must grow with k*log2(q)
+    # alpha sits within (q-1)/q**k of q, and alpha - lower is about
+    # (q-1)*k*q**(-2k-1)/2, so the working precision must grow with k*log2(q)
     bits = max(precision_bits, 4 * k * q.bit_length() + 64)
-    while bits <= 1 << 20:
-        with mp.workprec(bits + 16):
-            low = mp.mpf(q) - mp.mpf(q) ** (-(k - 1))
-            if not g_poly(k, q, low) < 0:
-                raise PrecisionError(f"g is not negative at q - q**(1-k) for k={k}, q={q}")
-            beta = (low + mp.mpf(q)) / 2
-            while g_poly(k, q, beta) >= 0:
-                beta = (low + beta) / 2
-            lower = mp.mpf(q) - (q - 1) / beta**k
-            est = find_alpha(k, q, bits)
-            # compare against the rigorous bracket, not the midpoint
-            if lower < est.lo and est.hi < q:
-                return beta, lower
-        bits *= 2
-    raise PrecisionError(f"beta bracket for k={k}, q={q} did not certify")
+    est = find_alpha(k, q, bits)
+    with mp.workprec(bits + 16):
+        low = mp.mpf(q) - mp.mpf(q) ** (-(k - 1))
+        beta = (low + est.lo) / 2
+        lower = mp.mpf(q) - (q - 1) / beta**k
+        # g(low) < 0 at the left end; lower against the rigorous bracket, not the midpoint
+        if not (g_poly(k, q, low) < 0 and low < est.lo and lower < est.lo and est.hi < q):
+            raise PrecisionError(f"beta bracket for k={k}, q={q} did not certify")
+        return beta, lower
 
 
 def fib_closed_form(k: int, q: int, n: int) -> int:

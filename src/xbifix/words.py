@@ -152,25 +152,8 @@ class Code:
                 and all(a < b for a, b in zip(v, v[1:]))):
             raise ValueError(f"n={n}, q={q}: need 1+ ascending values in [0, q**n), 2 <= q <= {MAX_Q}")
 
-    @classmethod
-    def from_words(cls, words: Iterable[Word]) -> "Code":
-        wordset = frozenset(words)
-        if not wordset:
-            raise ValueError("code must be nonempty")
-        lengths = {len(w) for w in wordset}
-        alphabets = {w.q for w in wordset}
-        if len(lengths) > 1:
-            raise ValueError(f"mixed word lengths: {sorted(lengths)}")
-        if len(alphabets) > 1:
-            raise ValueError(f"mixed alphabets: {sorted(alphabets)}")
-        return cls(tuple(sorted(w.to_value() for w in wordset)), lengths.pop(), alphabets.pop())
-
     def __len__(self) -> int:
         return len(self.values)
-
-    @property
-    def words(self) -> frozenset[Word]:
-        return frozenset(self.sorted_words())
 
     def sorted_words(self) -> list[Word]:
         return [Word.from_value(v, self.n, self.q) for v in self.values]

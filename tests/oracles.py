@@ -13,6 +13,13 @@ from xbifix.construction import ENUM_CAP, validate_params
 from xbifix.words import CapacityError, Code, Word
 
 
+def code_of(words) -> Code:
+    """The code of equal-length words over one alphabet, repeats dropped:
+    their values through Word.to_value, ascending."""
+    words = list(words)
+    return Code(tuple(sorted({w.to_value() for w in words})), len(words[0]), words[0].q)
+
+
 def naive_is_bifix_free(symbols: tuple[int, ...]) -> bool:
     n = len(symbols)
     for length in range(1, n):
@@ -43,7 +50,7 @@ def naive_verify(code: Code) -> bool:
 def naive_least_expansion(code: Code) -> Word | None:
     """The first of all q**n words, in lexicographic order, that is no
     member and keeps the code cross-bifix-free when added; None if none."""
-    current = {w.symbols for w in code.words}
+    current = {w.symbols for w in code.sorted_words()}
     for cand in itertools.product(range(code.q), repeat=code.n):
         if cand not in current and all(naive_cross_pair_ok(cand, w) for w in current | {cand}):
             return Word(cand, code.q)
@@ -86,7 +93,7 @@ def compatibility_matrix(values, n: int, q: int):
 
 @functools.lru_cache(maxsize=4)
 def _word_symbols(code: Code) -> frozenset[tuple[int, ...]]:
-    return frozenset(w.symbols for w in code.words)
+    return frozenset(w.symbols for w in code.sorted_words())
 
 
 def naive_first_match_time(code: Code, stream: list[int], cap: int | None = None) -> int | None:
@@ -222,4 +229,4 @@ def generate_recursive(n: int, k: int, q: int, cap: int = ENUM_CAP) -> Code:
         memo[m] = out
         return out
 
-    return Code.from_words(Word(t, q) for t in build(n))
+    return code_of(Word(t, q) for t in build(n))

@@ -9,6 +9,7 @@ from mpmath import mp
 
 from xbifix import fibonacci
 from xbifix.fibonacci import (
+    DEFAULT_PRECISION_BITS,
     PrecisionError,
     beta_bracket,
     fib,
@@ -32,10 +33,10 @@ def _spy(calls, func):
     return wrapped
 
 
-def assert_enclosure(k, q, est):
+def assert_enclosure(k, q, est, bits):
     """g(lo) < 0 < g(hi) in interval arithmetic, at twice the bracket's
-    precision: g changes sign exactly at alpha, so lo < alpha < hi."""
-    old, mpmath.iv.prec = mpmath.iv.prec, 2 * est.precision_bits + 64
+    precision `bits`: g changes sign exactly at alpha, so lo < alpha < hi."""
+    old, mpmath.iv.prec = mpmath.iv.prec, 2 * bits + 64
     try:
         assert g_poly(k, q, mpmath.iv.mpf(est.lo)).b < 0, (k, q)
         assert g_poly(k, q, mpmath.iv.mpf(est.hi)).a > 0, (k, q)
@@ -263,10 +264,10 @@ class TestFindAlpha:
                 est = find_alpha(k, q)
                 # evaluate at the working precision of the estimate, else
                 # the polynomial values round to zero near the root
-                with mp.workprec(est.precision_bits + 16):
+                with mp.workprec(DEFAULT_PRECISION_BITS + 16):
                     assert f_poly(k, q, est.lo) < 0 < f_poly(k, q, est.hi)
                     assert 1 < est.lo < est.alpha < est.hi < q
-                    assert est.hi - est.lo <= mp.mpf(2) ** (-est.precision_bits + 4) * q
+                    assert est.hi - est.lo <= mp.mpf(2) ** (-DEFAULT_PRECISION_BITS + 4) * q
 
     def test_interval_sweep(self):
         for q in (2, 3, 5, 16):
@@ -276,7 +277,18 @@ class TestFindAlpha:
                 bits = max(128, 4 * k * q.bit_length() + 64)
                 est = find_alpha(k, q, bits)
                 assert 1 < est.lo and est.hi < q
-                assert_enclosure(k, q, est)
+                assert_enclosure(k, q, est, bits)
+
+    @pytest.mark.parametrize("q", [2, 3, 36, 37, 1000, 10**6, 10**12, 2**64 + 13])
+    def test_one_bracket_certifies_on_grid(self, q):
+        # the single bracket certifies from 53 bits up, also where alpha
+        # rounds to q (k = 500): find_alpha raises rather than return one
+        # that does not
+        for k in (2, 3, 5, 17, 100, 500):
+            for bits in (53, 64, 128, 1000):
+                est = find_alpha(k, q, bits)
+                assert 1 < est.lo < est.hi <= q, (k, q, bits)
+                assert_enclosure(k, q, est, bits)
 
     @pytest.mark.parametrize("k,q,bits", [(64, 16, 128), (80, 2, 53), (40, 5, 53)])
     def test_alpha_rounds_to_q(self, k, q, bits):
@@ -290,14 +302,14 @@ class TestFindAlpha:
             return
         exact = find_alpha(k, q, 4 * k * q.bit_length() + 64)
         assert 1 < est.lo < exact.lo and exact.hi < est.hi <= q
-        assert_enclosure(k, q, est)
+        assert_enclosure(k, q, est, bits)
 
     def test_high_precision(self):
         est = find_alpha(40, 5, 8192)
         with mp.workprec(8192 + 16):
             assert 1 < est.lo < est.alpha < est.hi < 5
             assert est.hi - est.lo <= mp.mpf(2) ** -8192 * 5
-        assert_enclosure(40, 5, est)
+        assert_enclosure(40, 5, est, 8192)
 
     def test_uncertified_bracket_raises(self, monkeypatch):
         # one Newton step from q leaves x far above alpha; the interval
@@ -348,6 +360,29 @@ class TestBetaBracket:
         assert q - mp.mpf(q) ** (-(k - 1)) < beta < q
         assert g_poly(k, q, beta) < 0
         assert lower < alpha < q
+
+    @pytest.mark.parametrize(
+        "k,q,precision_bits",
+        [(2, 2, 128), (10, 2, 128), (3, 3, 128), (7, 5, 128), (2, 2, 1000), (30, 36, 128), (5, 10**6, 53)],
+    )
+    def test_one_pass(self, k, q, precision_bits, monkeypatch):
+        # beta sits between q - q**(1-k) and find_alpha's certified low
+        # end, and lower falls short of that end by far more than the
+        # working precision resolves: one find_alpha call settles it
+        bits = max(precision_bits, 4 * k * q.bit_length() + 64)
+        calls = []
+
+        def counted(k, q, bits):
+            calls.append((k, q, bits))
+            return find_alpha(k, q, bits)
+
+        monkeypatch.setattr(fibonacci, "find_alpha", counted)
+        beta, lower = beta_bracket(k, q, precision_bits)
+        assert calls == [(k, q, bits)]
+        est = find_alpha(k, q, bits)
+        with mp.workprec(2 * bits):
+            assert q - mp.mpf(q) ** (1 - k) < beta < est.lo
+            assert est.lo - lower > mp.mpf(2) ** (-bits / 2)
 
     def test_below_threshold_rejected(self):
         with pytest.raises(ValueError):

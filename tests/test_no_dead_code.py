@@ -1,25 +1,19 @@
-"""Every public function, class and method in src/xbifix is reached: named
-by another module of the package, by its own module outside its own
-definition, or by the benchmark in perfbench/.  Re-exports in __init__ do
-not count, and neither do the tests: a name only the tests call is a
-second version of something the program already does."""
+"""Every public function, class, method and dataclass field in src/xbifix
+is reached: named by another module of the package, by its own module
+outside its own definition (a field outside its own class), or by the
+benchmark in perfbench/.  Re-exports in __init__ do not count, and
+neither do the tests: a name only the tests call is a second version of
+something the program already does, and a field only the tests read is
+state the program carries for nothing."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "xbifix").glob("*.py"))
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-
-# names reached from neither, each with the reason it stays
-ALLOWED = {
-    "Code.from_words": "the word-level constructor the tests and their oracles build codes with",
-    "Code.words": "the word-set view the tests and their oracles compare codes by",
-}
 
 
 def _parse(path):
@@ -38,7 +32,8 @@ def _reads(tree, methods):
 
 def _definitions(tree):
     """(name, node) of each public top-level function and class, and
-    Class.method for each public method of a public class."""
+    Class.member for each public method and field of a public class.  A
+    field's node is its class: reads inside the class do not count."""
     for node in tree.body:
         if isinstance(node, DEFS) and not node.name.startswith("_"):
             yield node.name, node
@@ -46,6 +41,8 @@ def _definitions(tree):
                 for item in node.body:
                     if isinstance(item, DEFS) and not item.name.startswith("_"):
                         yield f"{node.name}.{item.name}", item
+                    elif isinstance(item, ast.AnnAssign) and not item.target.id.startswith("_"):
+                        yield f"{node.name}.{item.target.id}", node
 
 
 def _is_command(node):
@@ -95,7 +92,7 @@ def _unreached():
             method, short = "." in name, name.rpartition(".")[2]
             elsewhere = reads[method][short] - _reads(node, method)[short]
             benchmark = attributes if method else functions | attributes
-            if not (elsewhere or short in benchmark or _is_command(node) or name in ALLOWED):
+            if not (elsewhere or short in benchmark or _is_command(node)):
                 dead.append(f"{stem}.{name}")
     return dead
 
@@ -107,9 +104,3 @@ def test_sources_found():
 def test_every_public_name_is_reached():
     dead = _unreached()
     assert not dead, f"no command, workload or other function names: {', '.join(dead)}"
-
-
-@pytest.mark.parametrize("name", sorted(ALLOWED))
-def test_allowed_names_exist(name):
-    # an entry for a deleted name would let a namesake come back unseen
-    assert name in {name for path in SOURCES for name, _ in _definitions(_parse(path))}

@@ -9,9 +9,9 @@ from xbifix import sim
 from xbifix.bounds import variance_formula
 from xbifix.construction import generate_direct
 from xbifix.sim import SimConfig, match_times, run_sim
-from xbifix.words import CapacityError, Code, Word
+from xbifix.words import CapacityError, Word
 
-from oracles import exact_pmf, naive_first_match_time
+from oracles import code_of, exact_pmf, naive_first_match_time
 
 
 def W(digits, q=2):
@@ -30,7 +30,7 @@ class TestRunSim:
         assert a != b
 
     def test_unverifiable_code_rejected(self):
-        bad = Code.from_words([W("01"), W("10")])
+        bad = code_of([W("01"), W("10")])
         with pytest.raises(ValueError):
             SimConfig(code=bad, trials=10)
 
@@ -47,7 +47,7 @@ class TestRunSim:
         assert abs(stats.variance - predicted) / predicted < 0.10
 
     def test_single_word_code(self):
-        code = Code.from_words([W("001")])
+        code = code_of([W("001")])
         stats = run_sim(SimConfig(code=code, trials=20_000, seed=3))
         predicted = variance_formula(3, 2, 1)
         assert abs(stats.variance - predicted) / predicted < 0.10
@@ -71,7 +71,7 @@ class TestRunSim:
 
     def test_int64_window_range_guard(self):
         # 3**40 > 2**63: int64 windows would wrap, so the config is refused
-        code = Code.from_words([W("2" * 39 + "0", q=3)])
+        code = code_of([W("2" * 39 + "0", q=3)])
         with pytest.raises(CapacityError):
             SimConfig(code=code, trials=1)
 
@@ -119,7 +119,7 @@ class TestRunSim:
         assert table.tolist() == searched.tolist()
 
     def test_truncation_flagged(self):
-        code = Code.from_words([W("0011")])
+        code = code_of([W("0011")])
         stats = run_sim(SimConfig(code=code, trials=200, seed=4, max_stream=8))
         assert stats.truncated > 0
         assert stats.samples + stats.truncated == 200
@@ -154,7 +154,7 @@ class TestRunSim:
             # a ternary code
             (SimConfig(code=generate_direct(6, 2, 3), trials=200, seed=21), 1),
             # a length-1 code: nothing carries over between passes
-            (SimConfig(code=Code.from_words([W("z", q=36)]), trials=300, seed=21), 1),
+            (SimConfig(code=code_of([W("z", q=36)]), trials=300, seed=21), 1),
             # 13,624 words: the scanner's target set is built once per call
             (SimConfig(code=generate_direct(21, 5, 2), trials=200, seed=21), 1),
             # max_stream cuts the second pass's take from 19 symbols to 11
@@ -233,7 +233,7 @@ class TestExactLaw:
 
     @pytest.mark.parametrize(
         "code",
-        [generate_direct(7, 2, 2), generate_direct(7, 2, 3), Code.from_words([W("001")])],
+        [generate_direct(7, 2, 2), generate_direct(7, 2, 3), code_of([W("001")])],
         ids=["7-2-2", "7-2-3", "001"],
     )
     def test_histogram_fits_exact_law(self, code):
