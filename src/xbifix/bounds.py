@@ -13,8 +13,8 @@ bound used throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .fibonacci import find_alpha
 from .construction import best_size, size_formula
@@ -69,8 +69,7 @@ def target_ratio(q: int) -> float:
     return (q - 1) / (q * math.e)
 
 
-@dataclass(frozen=True)
-class ProbeRow:
+class ProbeRow(NamedTuple):
     k: int
     n: int
     size: int
@@ -106,8 +105,7 @@ def asymptotic_probe(q: int, k_range, c: float | None = None) -> list[ProbeRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Per-length summary: construction size against the variance bound
     and the earlier binary constructions."""
 

@@ -3,21 +3,17 @@
 Exit codes: 0 success, 1 property violated, 2 usage or parse error,
 3 capacity or budget exhausted; each error is one line on stderr.  Big
 integers are printed in full, as decimal strings in JSON output: every
-command runs with the int-to-str digit limit lifted.
+command runs with the int-to-str digit limit lifted.  json, hashlib and
+datetime are imported only by the output that uses them.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
+import argparse
 import math
 import os
 import sys
 from contextlib import contextmanager
-from datetime import datetime, timezone
-
-import click
 
 from . import __version__
 from .bounds import asymptotic_probe, bounds_report, target_ratio, variance_formula
@@ -58,22 +54,33 @@ def _all_digits():
 
 @contextmanager
 def _usage_line():
-    """Report an error as one stderr line: a usage error, a ValueError (a
-    malformed code file) or an OSError (an unwritable output) exits 2, a
-    CapacityError exits 3."""
+    """Report an error as one stderr line: a ValueError (a refused
+    argument value or a malformed code file) or an OSError (an unreadable
+    or unwritable file) exits 2, a CapacityError exits 3."""
     try:
         yield
-    except getattr(click.exceptions, "NoArgsIsHelpError", ()):
-        raise  # the bare command prints its help (click >= 8.2)
-    except click.UsageError as exc:
-        click.echo(f"usage: {exc.format_message()}", err=True)
-        raise SystemExit(EXIT_USAGE)
     except (ValueError, OSError) as exc:
-        click.echo(f"usage: {exc}", err=True)
+        print(f"usage: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     except CapacityError as exc:
-        click.echo(f"capacity: {exc}", err=True)
+        print(f"capacity: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_CAPACITY)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a parse error as one `usage:` line on stderr, exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"usage: {message}\n")
+
+
+def _at_least(low: int):
+    """An int option type that refuses values below `low`."""
+    def integer(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+    return integer
 
 
 def _desk_scale(n: int, q: int, hint: str) -> None:
@@ -82,25 +89,19 @@ def _desk_scale(n: int, q: int, hint: str) -> None:
     n > DESK_SCALE_N is refused before q**n is computed."""
     check_alphabet(q)
     if n >= 1 and (n > DESK_SCALE_N or q**n > 2**DESK_SCALE_N):
-        raise click.UsageError(
-            f"n={n} exceeds the desk-scale range (q**n <= 2**{DESK_SCALE_N}); {hint}"
-        )
+        raise ValueError(f"n={n} exceeds the desk-scale range (q**n <= 2**{DESK_SCALE_N}); {hint}")
 
 
-class _Group(click.Group):
-    """Runs its parsing and every subcommand, click's too, under _usage_line,
-    and every subcommand with the digit limit lifted."""
-
-    def make_context(self, *args, **kwargs):
-        with _usage_line():
-            return super().make_context(*args, **kwargs)
-
-    def invoke(self, ctx):
-        with _usage_line(), _all_digits():
-            return super().invoke(ctx)
+def _json(record, indent=None) -> str:
+    """The record as JSON; json is imported only by output that uses it."""
+    import json
+    return json.dumps(record, indent=indent)
 
 
 def _write_manifest(out_path: str, command: str, parameters: dict) -> None:
+    import hashlib
+    from datetime import datetime, timezone
+
     with open(out_path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     manifest = {
@@ -112,61 +113,34 @@ def _write_manifest(out_path: str, command: str, parameters: dict) -> None:
         "outputs": {os.path.basename(out_path): {"sha256": digest}},
     }
     with open(out_path + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+        fh.write(_json(manifest, indent=2) + "\n")
 
 
-@click.group(cls=_Group)
-@click.version_option(__version__)
-def main():
-    """Construct, verify, count and bound cross-bifix-free codes."""
-
-
-@main.command()
-@click.option("--n", type=int, required=True, help="word length")
-@click.option("--k", type=int, required=True, help="leading zero-run length")
-@click.option("--q", type=int, default=2, show_default=True, help="alphabet size")
-@click.option("--out", type=click.Path(dir_okay=False), help="output file (with manifest)")
 def gen(n, k, q, out):
     """Generate the zero-run code for (n, k, q)."""
     code = generate_direct(n, k, q)
-    if out:
-        write_code(code, out)
-        _write_manifest(out, "gen", {"n": n, "k": k, "q": q})
-        click.echo(f"wrote {len(code)} words to {out}")
-    else:
-        click.echo(format_code(code), nl=False)
+    if out is None:
+        sys.stdout.write(format_code(code))
+        return
+    write_code(code, out)
+    _write_manifest(out, "gen", {"n": n, "k": k, "q": q})
+    print(f"wrote {len(code)} words to {out}")
 
 
-@main.command()
-@click.option("--n", type=int, required=True)
-@click.option("--q", type=int, default=2, show_default=True)
-@click.option("--json", "as_json", is_flag=True)
 def best(n, q, as_json):
     """Best construction size over all k."""
     record = best_size(n, q)
-    k = "-" if record.best_k is None else record.best_k
     if as_json:
-        click.echo(json.dumps(record.to_json_dict()))
+        print(_json(record.to_json_dict()))
     else:
-        click.echo(f"S({n},{q}) = {record.size}  (k = {k})")
+        print(f"S({n},{q}) = {record.size}  (k = {'-' if record.best_k is None else record.best_k})")
 
 
-@main.command("fib")
-@click.option("--k", type=int, required=True)
-@click.option("--q", type=int, required=True)
-@click.option("--n", type=int, required=True)
 def fib_cmd(k, q, n):
     """Weighted k-step Fibonacci value F_{k,q}(n)."""
-    click.echo(fib(k, q, n))
+    print(fib(k, q, n))
 
 
-@main.command()
-@click.option("--k", type=int, required=True)
-@click.option("--q", type=int, required=True)
-@click.option("--bits", type=int, default=DEFAULT_PRECISION_BITS, show_default=True,
-              help="working precision bits")
-@click.option("--json", "as_json", is_flag=True)
 def alpha(k, q, bits, as_json):
     """Dominant root alpha(k, q) of the growth polynomial."""
     import mpmath
@@ -175,21 +149,9 @@ def alpha(k, q, bits, as_json):
     with mpmath.mp.workprec(bits + 16):
         value, lo, hi = (mpmath.nstr(x, digits) for x in (est.alpha, est.lo, est.hi))
     record = {"k": k, "q": q, "precision_bits": bits, "alpha": value, "bracket": [lo, hi]}
-    click.echo(json.dumps(record) if as_json else value)
+    print(_json(record) if as_json else value)
 
 
-@main.command()
-@click.option("--q", type=int, default=2, show_default=True)
-@click.option("--n-max", type=int, default=30, show_default=True)
-@click.option("--json", "as_json", is_flag=True)
-@click.option("--markdown", is_flag=True)
-@click.option(
-    "--clique-upto",
-    type=click.IntRange(min=0),
-    default=0,
-    show_default=True,
-    help="also compute exact optima up to this length",
-)
 def table(q, n_max, as_json, markdown, clique_upto):
     """Per-length size table: earlier construction, this construction,
     best k, and the variance upper bound."""
@@ -214,7 +176,7 @@ def table(q, n_max, as_json, markdown, clique_upto):
             }
         )
     if as_json:
-        click.echo(json.dumps({"q": q, "rows": rows}))
+        print(_json({"q": q, "rows": rows}))
         return
     header = ["n", "B(n)", f"S(n,{q})", "k", "bound", "C(n,q)"]
     blanks = ["", "-", "", "-", "", ""]  # what an empty cell prints, per column
@@ -227,47 +189,35 @@ def table(q, n_max, as_json, markdown, clique_upto):
         lines.insert(1, "|" + "|".join("-" * (w + 2) for w in widths) + "|")
     else:
         lines = ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in grid]
-    click.echo("\n".join(lines))
+    print("\n".join(lines))
 
 
-@main.command()
-@click.option("--q", type=int, default=2, show_default=True)
-@click.option("--k-min", type=int, default=4, show_default=True)
-@click.option("--k-max", type=int, required=True)
-@click.option("--c", type=float, default=None, help="scaling constant; default q/(q-1)")
-@click.option("--json", "as_json", is_flag=True)
 def probe(q, k_min, k_max, c, as_json):
     """Asymptotic ratio diagnostics along n(k) = ceil(c * alpha**k)."""
     rows = asymptotic_probe(q, range(k_min, k_max + 1), c=c)
     target = target_ratio(q)
     if as_json:
-        rows = [{**dataclasses.asdict(r), "size": str(r.size)} for r in rows]
-        click.echo(json.dumps({"q": q, "target": target, "rows": rows}))
+        rows = [{**r._asdict(), "size": str(r.size)} for r in rows]
+        print(_json({"q": q, "target": target, "rows": rows}))
         return
-    click.echo(f"target (q-1)/(q e) = {target:.6f}")
+    print(f"target (q-1)/(q e) = {target:.6f}")
     for r in rows:
-        click.echo(f"k={r.k:3d}  n={r.n:7d}  ratio={r.ratio:.6f}")
+        print(f"k={r.k:3d}  n={r.n:7d}  ratio={r.ratio:.6f}")
 
 
-@main.command()
-@click.option("--n", type=int, required=True)
-@click.option("--q", type=int, default=2, show_default=True)
-@click.option("--budget", type=float, default=None, help="time budget in seconds")
-@click.option("--long", "long_run", is_flag=True, help="allow q**n beyond the desk-scale cap")
-@click.option("--witness-out", type=click.Path(dir_okay=False))
 def clique(n, q, budget, long_run, witness_out):
     """Exact maximum cross-bifix-free code size by clique search."""
     if not long_run:
         _desk_scale(n, q, "pass --long to run anyway (runtime may be hours)")
-    if witness_out:  # an unwritable path fails before the search, not after it
+    if witness_out is not None:  # an unwritable path fails before the search, not after it
         open(witness_out, "a").close()
     result = max_clique(build_graph(n, q), time_budget=budget)
     status = "optimal" if result.optimal else "lower bound only (budget exhausted)"
-    click.echo(
+    print(
         f"C({n},{q}) {'=' if result.optimal else '>='} {result.size}  [{status}; "
         f"{result.nodes_explored} nodes, {result.wall_time:.2f}s]"
     )
-    if witness_out:
+    if witness_out is not None:
         write_code(result.witness, witness_out)
         _write_manifest(
             witness_out,
@@ -279,35 +229,27 @@ def clique(n, q, budget, long_run, witness_out):
         raise SystemExit(EXIT_CAPACITY)
 
 
-@main.command()
-@click.option("--code", "code_file", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--trials", type=click.IntRange(min=1), default=100_000, show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--max-stream", type=click.IntRange(min=1), default=DEFAULT_MAX_STREAM, show_default=True)
-@click.option("--json", "as_json", is_flag=True)
 def sim(code_file, trials, seed, max_stream, as_json):
     """Simulate time-to-first-match of the code in a uniform stream."""
     code = read_code(code_file)
     try:
-        stats = run_sim(SimConfig(code=code, trials=trials, seed=seed, max_stream=max_stream))
+        stats = run_sim(SimConfig(code, trials, seed, max_stream))
     except ValueError as exc:
-        click.echo(f"invalid code: {exc}", err=True)
+        print(f"invalid code: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_VIOLATION)
     predicted = variance_formula(code.n, code.q, len(code))
     if as_json:
         record = {"n": code.n, "q": code.q, "M": len(code), "trials": trials, "seed": seed}
-        record.update(dataclasses.asdict(stats), predicted_variance=predicted)
-        click.echo(json.dumps(record))
+        record.update(stats._asdict(), predicted_variance=predicted)
+        print(_json(record))
     else:
-        click.echo(
+        print(
             f"samples={stats.samples} mean={stats.mean:.3f} "
             f"variance={stats.variance:.3f} (predicted {predicted:.3f}) "
             f"min={stats.min} max={stats.max} truncated={stats.truncated}"
         )
 
 
-@main.command()
-@click.argument("code_file", type=click.Path(exists=True, dir_okay=False))
 def verify(code_file):
     """Verify a code file: cross-bifix-free and nonexpandable."""
     code = read_code(code_file)
@@ -323,12 +265,80 @@ def verify(code_file):
     if violation is not None:
         w1, w2, seg = violation
         digits = w1.to_digits()
-        click.echo(
+        print(
             f"cross-bifix-free: no (prefix {digits[:len(seg)]!r} of {digits} "
             f"is a suffix of {w2.to_digits()})"
         )
         raise SystemExit(EXIT_VIOLATION)
-    click.echo(f"cross-bifix-free: yes; nonexpandable: {verdict}")
+    print(f"cross-bifix-free: yes; nonexpandable: {verdict}")
+
+
+def _parser(prog: str) -> _Parser:
+    """The command table: each command's function, then its options, whose
+    names are the function's parameters."""
+    parser = _Parser(prog=prog, description=main.__doc__, allow_abbrev=False)
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run, name=None):
+        sub = commands.add_parser(name or run.__name__, help=run.__doc__, description=run.__doc__, allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub.add_argument
+
+    option = command(gen)
+    option("--n", type=int, required=True, help="word length")
+    option("--k", type=int, required=True, help="leading zero-run length")
+    option("--q", type=int, default=2, help="alphabet size (default: %(default)s)")
+    option("--out", help="output file (with manifest)")
+    option = command(best)
+    option("--n", type=int, required=True, help="word length")
+    option("--q", type=int, default=2, help="alphabet size (default: %(default)s)")
+    option("--json", dest="as_json", action="store_true")
+    option = command(fib_cmd, "fib")
+    option("--k", type=int, required=True)
+    option("--q", type=int, required=True)
+    option("--n", type=int, required=True)
+    option = command(alpha)
+    option("--k", type=int, required=True)
+    option("--q", type=int, required=True)
+    option("--bits", type=int, default=DEFAULT_PRECISION_BITS, help="precision bits (default: %(default)s)")
+    option("--json", dest="as_json", action="store_true")
+    option = command(table)
+    option("--q", type=int, default=2, help="alphabet size (default: %(default)s)")
+    option("--n-max", type=int, default=30, help="longest length (default: %(default)s)")
+    option("--json", dest="as_json", action="store_true")
+    option("--markdown", action="store_true")
+    option("--clique-upto", type=_at_least(0), default=0, help="also compute exact optima up to this length")
+    option = command(probe)
+    option("--q", type=int, default=2, help="alphabet size (default: %(default)s)")
+    option("--k-min", type=int, default=4, help="least k (default: %(default)s)")
+    option("--k-max", type=int, required=True, help="largest k")
+    option("--c", type=float, default=None, help="scaling constant; default q/(q-1)")
+    option("--json", dest="as_json", action="store_true")
+    option = command(clique)
+    option("--n", type=int, required=True, help="word length")
+    option("--q", type=int, default=2, help="alphabet size (default: %(default)s)")
+    option("--budget", type=float, default=None, help="time budget in seconds")
+    option("--long", dest="long_run", action="store_true", help="allow q**n beyond the desk-scale cap")
+    option("--witness-out", help="output file for the best code found (with manifest)")
+    option = command(sim)
+    option("--code", dest="code_file", required=True, help="code file")
+    option("--trials", type=_at_least(1), default=100_000, help="number of trials (default: %(default)s)")
+    option("--seed", type=_at_least(0), default=0, help="random seed (default: %(default)s)")
+    option("--max-stream", type=_at_least(1), default=DEFAULT_MAX_STREAM, help="stream cap (default: %(default)s)")
+    option("--json", dest="as_json", action="store_true")
+    option = command(verify)
+    option("code_file", metavar="CODE_FILE")
+    return parser
+
+
+def main(args=None, prog_name=None):
+    """Construct, verify, count and bound cross-bifix-free codes."""
+    options = vars(_parser(prog_name or "xbifix").parse_args(args))
+    run = options.pop("run")
+    with _usage_line(), _all_digits():
+        run(**options)
+    raise SystemExit(0)
 
 
 if __name__ == "__main__":

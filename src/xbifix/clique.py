@@ -25,7 +25,7 @@ size.  C(13,2) = 149 certifies in 655 nodes, C(3,19) = 1,014 in 1,014.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .construction import best_size, generate_direct
 from .words import MAX_Q, CapacityError, Code, bifix_free, check_power_cap, verify_code
@@ -33,8 +33,7 @@ from .words import MAX_Q, CapacityError, Code, bifix_free, check_power_cap, veri
 VERTEX_CAP = 2**16  # bifix-free words, and vertices built from them, build_graph takes at most
 
 
-@dataclass(frozen=True)
-class CompatGraph:
+class CompatGraph(NamedTuple):
     """Compatibility graph with bitset adjacency (one int per vertex)."""
 
     n: int
@@ -46,8 +45,7 @@ class CompatGraph:
         return sum(a.bit_count() for a in self.adjacency) // 2
 
 
-@dataclass(frozen=True)
-class CliqueResult:
+class CliqueResult(NamedTuple):
     size: int
     witness: Code
     nodes_explored: int

@@ -9,7 +9,7 @@ and maximizing over k gives the best size S(n, q) for each length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fibonacci import fib
 from .words import Code, check_alphabet, check_power_cap
@@ -44,8 +44,7 @@ def size_formula(n: int, k: int, q: int) -> int:
     return (q - 1) ** 2 * fib(k, q, n - k - 2)
 
 
-@dataclass(frozen=True)
-class SizeRecord:
+class SizeRecord(NamedTuple):
     """Best construction size S(n, q) and the per-k breakdown."""
 
     n: int
@@ -56,13 +55,8 @@ class SizeRecord:
 
     def to_json_dict(self) -> dict:
         # big integers as decimal strings to survive any JSON consumer
-        return {
-            "n": self.n,
-            "q": self.q,
-            "best_k": self.best_k,
-            "size": str(self.size),
-            "per_k": {str(k): str(v) for k, v in sorted(self.per_k.items())},
-        }
+        per_k = {str(k): str(v) for k, v in sorted(self.per_k.items())}
+        return {**self._asdict(), "size": str(self.size), "per_k": per_k}
 
 
 def best_size(n: int, q: int) -> SizeRecord:

@@ -22,11 +22,10 @@ its compact form is also the cheap target for Newton's method.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import mpmath
@@ -120,8 +119,7 @@ def g_poly(k: int, q: int, x):
     return x**k * (x - q) + (q - 1)
 
 
-@dataclass(frozen=True)
-class RootEstimate:
+class RootEstimate(NamedTuple):
     """Bracketed estimate of the dominant root alpha(k, q) in (1, q)."""
 
     alpha: mpmath.mpf

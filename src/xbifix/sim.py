@@ -17,13 +17,12 @@ state exceeds STATE_CAP bytes are refused before any array exists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
 
-from .words import CapacityError, Code, verify_code
+from .words import CapacityError, Code, Frozen, verify_code
 
 DEFAULT_MAX_STREAM = 1_000_000
 _CELLS = 1 << 14  # symbols per block, carried ones included
@@ -31,29 +30,27 @@ _TABLE_MAX = 1 << 20  # q**n up to which windows are looked up in a flag table
 STATE_CAP = 1 << 29  # bytes of per-trial state: times and alive (int64), n-1 carried symbols
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Frozen):
+    __slots__ = ("code", "trials", "seed", "max_stream")
     code: Code
     trials: int
-    seed: int = 0
-    max_stream: int = DEFAULT_MAX_STREAM
+    seed: int
+    max_stream: int
 
-    def __post_init__(self):
-        if self.trials < 1 or self.max_stream < 1:
+    def __init__(self, code: Code, trials: int, seed: int = 0, max_stream: int = DEFAULT_MAX_STREAM):
+        if trials < 1 or max_stream < 1:
             raise ValueError("trials and max_stream must be >= 1")
-        if self.code.q**self.code.n > 2**63:
-            raise CapacityError(f"q**n = {self.code.q}**{self.code.n} exceeds 2**63")
-        state = self.trials * (16 + self.code.n - 1)
+        if code.q**code.n > 2**63:
+            raise CapacityError(f"q**n = {code.q}**{code.n} exceeds 2**63")
+        state = trials * (16 + code.n - 1)
         if state > STATE_CAP:
-            raise CapacityError(
-                f"{self.trials} trials need {state} bytes of state, exceeds cap {STATE_CAP}"
-            )
-        if not verify_code(self.code):
+            raise CapacityError(f"{trials} trials need {state} bytes of state, exceeds cap {STATE_CAP}")
+        if not verify_code(code):
             raise ValueError("code is not cross-bifix-free")
+        self._freeze(code, trials, seed, max_stream)
 
 
-@dataclass(frozen=True)
-class SyncStats:
+class SyncStats(NamedTuple):
     samples: int
     mean: float
     variance: float

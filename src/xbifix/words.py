@@ -22,7 +22,7 @@ function.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from functools import total_ordering
 from itertools import product, repeat
 from typing import Iterable, Iterator, Optional
 
@@ -62,20 +62,51 @@ class CodeFormatError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True, order=True)
-class Word:
+class Frozen:
+    """Base of the classes that validate on construction: _freeze sets the
+    fields named in __slots__ once, and they are read-only after that,
+    compared and hashed together."""
+
+    __slots__ = ()
+
+    def _freeze(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+@total_ordering
+class Word(Frozen):
     """An n-symbol word over the alphabet {0, ..., q-1}."""
 
+    __slots__ = ("symbols", "q")
     symbols: tuple[int, ...]
     q: int
 
-    def __post_init__(self):
-        check_alphabet(self.q)
-        if len(self.symbols) < 1:
+    def __init__(self, symbols: tuple[int, ...], q: int):
+        check_alphabet(q)
+        if len(symbols) < 1:
             raise ValueError("word must have length >= 1")
-        for s in self.symbols:
-            if not 0 <= s <= self.q - 1:
-                raise ValueError(f"symbol {s} outside [0, {self.q - 1}]")
+        for s in symbols:
+            if not 0 <= s <= q - 1:
+                raise ValueError(f"symbol {s} outside [0, {q - 1}]")
+        self._freeze(symbols, q)
+
+    def __lt__(self, other):
+        return self._key() < other._key() if type(other) is type(self) else NotImplemented
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -138,19 +169,19 @@ def _decode(text: str, q: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Code:
+class Code(Frozen):
     """A nonempty set of length-n words over Z_q: their ascending values."""
 
+    __slots__ = ("values", "n", "q")
     values: tuple[int, ...]
     n: int
     q: int
 
-    def __post_init__(self):
-        v, n, q = self.values, self.n, self.q
-        if not (v and n >= 1 and 2 <= q <= MAX_Q and 0 <= v[0] and v[-1] < q**n
-                and all(a < b for a, b in zip(v, v[1:]))):
+    def __init__(self, values: tuple[int, ...], n: int, q: int):
+        if not (values and n >= 1 and 2 <= q <= MAX_Q and 0 <= values[0] and values[-1] < q**n
+                and all(a < b for a, b in zip(values, values[1:]))):
             raise ValueError(f"n={n}, q={q}: need 1+ ascending values in [0, q**n), 2 <= q <= {MAX_Q}")
+        self._freeze(values, n, q)
 
     def __len__(self) -> int:
         return len(self.values)

@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import importlib
+import io
 import itertools
 import json
 import os
@@ -10,18 +12,48 @@ import types
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from xbifix.cli import main
+from xbifix.cli import _parser, main
 from xbifix.clique import build_graph, max_clique
 from xbifix.construction import generate_direct, size_formula
 from xbifix.fibonacci import fib
 from xbifix.words import format_code, parse_code, write_code
 
 
+class _Tee(io.StringIO):
+    """One output stream that also copies what it is written to `both`."""
+
+    def __init__(self, both):
+        super().__init__()
+        self.both = both
+
+    def write(self, text):
+        self.both.write(text)
+        return super().write(text)
+
+
+class _Runner:
+    """Runs main in process: its exit code, stdout, stderr, both streams
+    interleaved as output, and the exception it ended in unless exit 0."""
+
+    def invoke(self, main, args):
+        both = io.StringIO()
+        out, err, exit_code, exception = _Tee(both), _Tee(both), 0, None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main(args)
+            except SystemExit as exc:
+                exit_code = exc.code or 0
+                exception = exc if exit_code else None
+            except Exception as exc:
+                exit_code, exception = 1, exc
+        return types.SimpleNamespace(exit_code=exit_code, stdout=out.getvalue(), stderr=err.getvalue(),
+                                     output=both.getvalue(), exception=exception)
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return _Runner()
 
 
 def _digit_limit():
@@ -325,14 +357,14 @@ class TestSimVerify:
         path.write_text("# xbifix code n=4 q=2\n0011\n")
         result = runner.invoke(main, ["sim", "--code", str(path), *option])
         assert result.exit_code == 2
-        assert result.stderr.startswith(f"usage: Invalid value for '{option[0]}'")
+        assert result.stderr.startswith(f"usage: argument {option[0]}: ")
         assert len(result.stderr.splitlines()) == 1
 
     def test_sim_max_stream_default(self):
         from xbifix.sim import DEFAULT_MAX_STREAM
 
-        params = {p.name: p for p in main.commands["sim"].params}
-        assert params["max_stream"].default == DEFAULT_MAX_STREAM
+        options = _parser("xbifix").parse_args(["sim", "--code", "c.txt"])
+        assert options.max_stream == DEFAULT_MAX_STREAM
 
     def test_verify_roundtrip(self, runner, tmp_path):
         path = tmp_path / "c10.txt"
@@ -474,6 +506,8 @@ class TestErrors:
             (["table", "--n-max", "5", "--clique-upto", "-1"], 2),
             (["gen", "--n", "7", "--k", "2", "--out", "/nonexistent/x.txt"], 2),
             (["clique", "--n", "7", "--witness-out", "/nonexistent/x.txt"], 2),
+            (["gen", "--n", "7", "--k", "2", "--out", ""], 2),
+            (["clique", "--n", "7", "--witness-out", ""], 2),
             (["sim", "--code", "<code>", "--trials", "2000000000"], 3),  # past sim.STATE_CAP
         ],
         ids=lambda a: " ".join(a) if isinstance(a, list) else f"exit-{a}",
@@ -503,7 +537,9 @@ class TestErrors:
 
 
 # Runs the command line in a fresh interpreter, then prints which of the
-# heavy libraries it loaded: the commands below must not pay for them.
+# libraries it loaded that cost start-up time: numpy and mpmath, and
+# click, dataclasses and inspect, which the package no longer uses.  The
+# commands below must not pay for them.
 _LOADED = """
 import json, sys
 import xbifix.cli
@@ -512,17 +548,25 @@ if sys.argv[1:]:
         xbifix.cli.main(sys.argv[1:], prog_name="xbifix")
     except SystemExit as exc:
         print("exit", exc.code)
-print(json.dumps([m for m in ("numpy", "mpmath") if m in sys.modules]))
+print(json.dumps([m for m in ("numpy", "mpmath", "click", "dataclasses", "inspect") if m in sys.modules]))
+"""
+
+# The package's submodules that `import xbifix` loads: perfbench/spans.py
+# looks the layer functions up in them after that one import.
+_LAYERS = """
+import json, sys
+import xbifix
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("xbifix."))))
 """
 
 
-def _fresh_run(*args):
-    """(stdout lines before the report, libraries loaded) of one command
-    in a new interpreter that imports the package from the source tree."""
+def _fresh_run(*args, script=_LOADED):
+    """(stdout lines before the report, the report) of one command in a
+    new interpreter that imports the package from the source tree."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     pythonpath = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]).rstrip(os.pathsep)
     proc = subprocess.run(
-        [sys.executable, "-c", _LOADED, *args],
+        [sys.executable, "-c", script, *args],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
@@ -534,6 +578,10 @@ def _fresh_run(*args):
 class TestImportCost:
     def test_import_loads_neither_library(self):
         assert _fresh_run() == ([], [])
+
+    def test_import_loads_every_layer(self):
+        layers = ["bounds", "clique", "construction", "fibonacci", "sim", "words"]
+        assert _fresh_run(script=_LAYERS) == ([], [f"xbifix.{m}" for m in layers])
 
     def test_version_loads_neither_library(self):
         output, loaded = _fresh_run("--version")

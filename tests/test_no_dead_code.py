@@ -1,10 +1,11 @@
-"""Every public function, class, method and dataclass field in src/xbifix
-is reached: named by another module of the package, by its own module
+"""Every public function, class, method and field in src/xbifix is
+reached: named by another module of the package, by its own module
 outside its own definition (a field outside its own class), or by the
-benchmark in perfbench/.  Re-exports in __init__ do not count, and
-neither do the tests: a name only the tests call is a second version of
-something the program already does, and a field only the tests read is
-state the program carries for nothing."""
+benchmark in perfbench/.  A command is reached through the command
+table that builds the parser in cli.py.  Re-exports in __init__ do not
+count, and neither do the tests: a name only the tests call is a second
+version of something the program already does, and a field only the
+tests read is state the program carries for nothing."""
 
 import ast
 from collections import Counter
@@ -43,14 +44,6 @@ def _definitions(tree):
                         yield f"{node.name}.{item.name}", item
                     elif isinstance(item, ast.AnnAssign) and not item.target.id.startswith("_"):
                         yield f"{node.name}.{item.target.id}", node
-
-
-def _is_command(node):
-    """A click command or group, which the command line reaches."""
-    return any(
-        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr in ("command", "group")
-        for d in node.decorator_list
-    )
 
 
 def _benchmark_reads():
@@ -92,7 +85,7 @@ def _unreached():
             method, short = "." in name, name.rpartition(".")[2]
             elsewhere = reads[method][short] - _reads(node, method)[short]
             benchmark = attributes if method else functions | attributes
-            if not (elsewhere or short in benchmark or _is_command(node)):
+            if not (elsewhere or short in benchmark):
                 dead.append(f"{stem}.{name}")
     return dead
 

@@ -67,6 +67,27 @@ class TestWord:
             Word((0,), 37)
 
 
+def test_value_classes_compare_by_field_and_are_read_only():
+    from xbifix.sim import SimConfig
+
+    w, code = W("01"), Code((1, 4), 3, 2)  # {001, 100}
+    config = SimConfig(Code((1,), 3, 2), 10)
+    assert w == W("01") and hash(w) == hash(W("01")) and w != W("01", q=3)
+    assert W("00") < w <= W("01") < W("01", q=3) and W("10") > w >= W("00")
+    assert sorted([W("11"), W("10"), w]) == [w, W("10"), W("11")]
+    assert code == Code((1, 4), 3, 2) and hash(code) == hash(Code((1, 4), 3, 2)) and code != Code((1,), 3, 2)
+    assert config == SimConfig(Code((1,), 3, 2), 10, 0) and config != SimConfig(Code((1,), 3, 2), 10, 1)
+    assert w != code and w != (w.symbols, w.q)  # equal only to the same class
+    assert (len(w), list(w), len(code)) == (2, [0, 1], 2)
+    for obj, field in ((w, "q"), (code, "values"), (config, "trials")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 5)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+
+
 class TestBifixFree:
     def test_paper_word(self):
         assert filter_keeps(W("1100000"))
@@ -402,12 +423,12 @@ class TestFileFormat:
     def test_generate_format_parse_build_no_word(self, monkeypatch):
         from xbifix.construction import generate_direct
 
-        def refuse(self):
+        def refuse(self, *args):
             raise RuntimeError("a Word was built")
 
         code = generate_direct(16, 5, 3)
         text = format_code(code)
-        monkeypatch.setattr(Word, "__post_init__", refuse)
+        monkeypatch.setattr(Word, "__init__", refuse)
         with pytest.raises(RuntimeError):
             W("01")
         assert generate_direct(16, 5, 3) == code
