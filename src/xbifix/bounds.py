@@ -13,12 +13,14 @@ bound used throughout.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .fibonacci import find_alpha
 from .construction import best_size, size_formula
 from .words import CapacityError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 PROBE_N_CAP = 200_000  # longest n(k) asymptotic_probe counts
 
@@ -29,6 +31,7 @@ def upper_bound(n: int, q: int) -> Fraction:
         raise ValueError(f"n must be >= 1, got {n}")
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
+    from fractions import Fraction
     return Fraction(q**n, 2 * n - 1)
 
 
@@ -37,7 +40,8 @@ def variance_formula(n: int, q: int, M: int) -> float:
     only when M exceeds the upper bound."""
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    return float((1 - 2 * n) * Fraction(q**n, M) + Fraction(q ** (2 * n), M * M))
+    # int true division gives the float nearest the exact rational
+    return ((1 - 2 * n) * q**n * M + q ** (2 * n)) / (M * M)
 
 
 def catalan(m: int) -> int:
@@ -109,8 +113,6 @@ class BoundsReport(NamedTuple):
     """Per-length summary: construction size against the variance bound
     and the earlier binary constructions."""
 
-    n: int
-    q: int
     construction_size: int
     best_k: int | None
     upper_bound: Fraction
@@ -120,8 +122,6 @@ class BoundsReport(NamedTuple):
 def bounds_report(n: int, q: int) -> BoundsReport:
     record = best_size(n, q)
     return BoundsReport(
-        n=n,
-        q=q,
         construction_size=record.size,
         best_k=record.best_k,
         upper_bound=upper_bound(n, q),

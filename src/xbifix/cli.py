@@ -24,9 +24,9 @@ from .sim import DEFAULT_MAX_STREAM, SimConfig, run_sim
 from .words import (
     CapacityError,
     check_alphabet,
+    find_expansion,
     find_violation,
     format_code,
-    is_nonexpandable,
     read_code,
     write_code,
 )
@@ -131,7 +131,8 @@ def best(n, q, as_json):
     """Best construction size over all k."""
     record = best_size(n, q)
     if as_json:
-        print(_json(record.to_json_dict()))
+        per_k = {k: str(size) for k, size in record.per_k.items()}
+        print(_json({**record._asdict(), "size": str(record.size), "per_k": per_k}))
     else:
         print(f"S({n},{q}) = {record.size}  (k = {'-' if record.best_k is None else record.best_k})")
 
@@ -209,9 +210,12 @@ def clique(n, q, budget, long_run, witness_out):
     """Exact maximum cross-bifix-free code size by clique search."""
     if not long_run:
         _desk_scale(n, q, "pass --long to run anyway (runtime may be hours)")
-    if witness_out is not None:  # an unwritable path fails before the search, not after it
+    graph = build_graph(n, q)
+    if budget is not None and not budget > 0:
+        raise ValueError("time_budget must be positive")
+    if witness_out is not None:  # an unwritable path fails before the search; a refused run leaves no file
         open(witness_out, "a").close()
-    result = max_clique(build_graph(n, q), time_budget=budget)
+    result = max_clique(graph, time_budget=budget)
     status = "optimal" if result.optimal else "lower bound only (budget exhausted)"
     print(
         f"C({n},{q}) {'=' if result.optimal else '>='} {result.size}  [{status}; "
@@ -255,7 +259,7 @@ def verify(code_file):
     code = read_code(code_file)
     violation = None
     try:  # the walk derives the affix pools once; it refuses an invalid code
-        verdict = "yes" if is_nonexpandable(code) else "no"
+        verdict = "yes" if find_expansion(code) is None else "no"
     except (CapacityError, ValueError) as exc:
         # too large to walk, or not cross-bifix-free: the witness tells which
         violation = find_violation(code)

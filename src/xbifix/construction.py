@@ -53,11 +53,6 @@ class SizeRecord(NamedTuple):
     size: int
     per_k: dict[int, int]
 
-    def to_json_dict(self) -> dict:
-        # big integers as decimal strings to survive any JSON consumer
-        per_k = {str(k): str(v) for k, v in sorted(self.per_k.items())}
-        return {**self._asdict(), "size": str(self.size), "per_k": per_k}
-
 
 def best_size(n: int, q: int) -> SizeRecord:
     """Maximize the construction size over k, smallest maximizing k on

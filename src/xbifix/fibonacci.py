@@ -22,7 +22,6 @@ its compact form is also the cheap target for Newton's method.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
@@ -169,6 +168,7 @@ def kq_threshold(q: int) -> int:
     is guaranteed to contain a sign change of g."""
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
+    from fractions import Fraction
     rhs = 1 - Fraction(1, q)
     k = 1
     while (1 - Fraction(1, q**k)) ** k <= rhs:
@@ -255,4 +255,5 @@ def other_roots_inside_unit_disk(k: int, q: int) -> bool:
     only at 0 and at x* = qk/(k+1) > 1, and g(x*) < g(1) = 0, so every
     root is simple."""
     _check_kq(k, q)
+    from fractions import Fraction
     return k * (q - 1) > 1 and g_poly(k, q, Fraction(q * k, k + 1)) < 0

@@ -22,7 +22,6 @@ function.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import total_ordering
 from itertools import product, repeat
 from typing import Iterable, Iterator, Optional
 
@@ -88,7 +87,6 @@ class Frozen:
         return hash(self._key())
 
 
-@total_ordering
 class Word(Frozen):
     """An n-symbol word over the alphabet {0, ..., q-1}."""
 
@@ -104,9 +102,6 @@ class Word(Frozen):
             if not 0 <= s <= q - 1:
                 raise ValueError(f"symbol {s} outside [0, {q - 1}]")
         self._freeze(symbols, q)
-
-    def __lt__(self, other):
-        return self._key() < other._key() if type(other) is type(self) else NotImplemented
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -281,13 +276,6 @@ def find_expansion(code: Code) -> Optional[Word]:
         if words := bifix_free(words, n, q):
             return Word.from_value(words[0], n, q)
     return None
-
-
-def is_nonexpandable(code: Code) -> bool:
-    """True iff no word of Z_q^n outside the code can be added while
-    keeping the code cross-bifix-free; CapacityError past
-    NONEXPANDABLE_CAP."""
-    return find_expansion(code) is None
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from xbifix.fibonacci import (
     other_roots_inside_unit_disk,
 )
 from xbifix.sim import SimConfig, match_times, run_sim
-from xbifix.words import bifix_free, is_nonexpandable, verify_code
+from xbifix.words import bifix_free, find_expansion, verify_code
 
 from oracles import all_words, f_poly, generate_recursive, naive_first_match_time, naive_is_bifix_free
 from test_construction import TABLE as CONSTRUCTION_TABLE
@@ -81,11 +81,11 @@ def test_criterion_4_generators_counting_nonexpandability():
     for n in range(4, 15):
         for k in range(2, n - 1):
             if n >= 2 * k + 1 or (n, k) == (4, 2):
-                assert is_nonexpandable(generate_direct(n, k, 2)), (n, k, 2)
+                assert find_expansion(generate_direct(n, k, 2)) is None, (n, k, 2)
     for n in range(4, 11):
         for k in range(2, n - 1):
             if n >= 2 * k + 1:
-                assert is_nonexpandable(generate_direct(n, k, 3)), (n, k, 3)
+                assert find_expansion(generate_direct(n, k, 3)) is None, (n, k, 3)
     report(4, "generator equivalence, counting law, nonexpandability for n >= 2k+1")
 
 
@@ -103,10 +103,10 @@ def test_criterion_4_generators_counting_nonexpandability():
 def test_criterion_4_nonexpandability_full_range_as_stated():
     for n in range(4, 15):
         for k in range(2, n - 1):
-            assert is_nonexpandable(generate_direct(n, k, 2)), (n, k, 2)
+            assert find_expansion(generate_direct(n, k, 2)) is None, (n, k, 2)
     for n in range(4, 11):
         for k in range(2, n - 1):
-            assert is_nonexpandable(generate_direct(n, k, 3)), (n, k, 3)
+            assert find_expansion(generate_direct(n, k, 3)) is None, (n, k, 3)
 
 
 def test_criterion_5_closed_form():

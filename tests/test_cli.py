@@ -130,6 +130,17 @@ class TestBest:
         }
         assert data["best_k"] == 4
 
+    def test_json_text_at_30(self, runner):
+        # every size a decimal string, per_k keyed by k in ascending order
+        result = runner.invoke(main, ["best", "--n", "30", "--json"])
+        assert result.exit_code == 0
+        assert result.stdout == (
+            '{"n": 30, "q": 2, "best_k": 4, "size": "7555935", "per_k": {"2": "317811", "3": "4700770", '
+            '"4": "7555935", "5": "5976577", "6": "3621088", "7": "1967200", "8": "1019960", "9": "518145", '
+            '"10": "260864", "11": "130816", "12": "65488", "13": "32760", "14": "16383", "15": "8192", '
+            '"16": "4096", "17": "2048", "18": "1024", "19": "512", "20": "256", "21": "128", "22": "64", '
+            '"23": "32", "24": "16", "25": "8", "26": "4", "27": "2", "28": "1"}}\n'
+        )
 
     def test_json_is_byte_identical_at_2000(self, runner):
         # sha256 of the output before fib summed zero runs for short lengths
@@ -508,6 +519,8 @@ class TestErrors:
             (["clique", "--n", "7", "--witness-out", "/nonexistent/x.txt"], 2),
             (["gen", "--n", "7", "--k", "2", "--out", ""], 2),
             (["clique", "--n", "7", "--witness-out", ""], 2),
+            (["clique", "--n", "20", "--long", "--witness-out", "<witness>"], 3),
+            (["clique", "--n", "5", "--budget", "0", "--witness-out", "<witness>"], 2),
             (["sim", "--code", "<code>", "--trials", "2000000000"], 3),  # past sim.STATE_CAP
         ],
         ids=lambda a: " ".join(a) if isinstance(a, list) else f"exit-{a}",
@@ -517,7 +530,10 @@ class TestErrors:
             path = tmp_path / "c7.txt"
             write_code(generate_direct(7, 2, 2), path)
             args = [str(path) if a == "<code>" else a for a in args]
+        witness = tmp_path / "w.txt"
+        args = [str(witness) if a == "<witness>" else a for a in args]
         result = runner.invoke(main, args)
+        assert not witness.exists()  # a refused run leaves no file for verify to reject
         assert result.exit_code == code
         assert isinstance(result.exception, SystemExit)
         assert len(result.stderr.splitlines()) == 1
@@ -537,9 +553,10 @@ class TestErrors:
 
 
 # Runs the command line in a fresh interpreter, then prints which of the
-# libraries it loaded that cost start-up time: numpy and mpmath, and
-# click, dataclasses and inspect, which the package no longer uses.  The
-# commands below must not pay for them.
+# libraries it loaded that cost start-up time: numpy and mpmath; click,
+# dataclasses and inspect, which the package does not use; and fractions
+# with decimal, which only exact rational bounds need.  The commands below
+# must not pay for them.
 _LOADED = """
 import json, sys
 import xbifix.cli
@@ -548,7 +565,8 @@ if sys.argv[1:]:
         xbifix.cli.main(sys.argv[1:], prog_name="xbifix")
     except SystemExit as exc:
         print("exit", exc.code)
-print(json.dumps([m for m in ("numpy", "mpmath", "click", "dataclasses", "inspect") if m in sys.modules]))
+libraries = ("numpy", "mpmath", "click", "dataclasses", "inspect", "fractions", "decimal")
+print(json.dumps([m for m in libraries if m in sys.modules]))
 """
 
 # The package's submodules that `import xbifix` loads: perfbench/spans.py
@@ -608,17 +626,18 @@ class TestImportCost:
         assert loaded == []
 
     @pytest.mark.parametrize(
-        "args",
-        [["clique", "--n", "8"], ["table", "--n-max", "8", "--clique-upto", "8"]],
+        "args, rationals",
+        [(["clique", "--n", "8"], []), (["table", "--n-max", "8", "--clique-upto", "8"], ["fractions", "decimal"])],
         ids=["clique", "table"],
     )
-    def test_clique_search_loads_neither_library(self, runner, args):
+    def test_clique_search_loads_neither_library(self, runner, args, rationals):
         # the graph is built in plain ints; the search time is left out
         def untimed(lines):
             return [re.sub(r", \d+\.\d+s\]$", "]", line) for line in lines]
 
         output, loaded = _fresh_run(*args)
-        assert output[-1] == "exit 0" and loaded == []
+        # table's upper bound is an exact Fraction
+        assert output[-1] == "exit 0" and set(loaded) <= set(rationals)
         assert untimed(output[:-1]) == untimed(runner.invoke(main, args).stdout.splitlines())
 
     def test_alpha_loads_mpmath_when_it_runs(self, runner):

@@ -1,7 +1,7 @@
 import pytest
 
 from xbifix.construction import best_size, generate_direct, size_formula
-from xbifix.words import CapacityError, Word, format_code, is_nonexpandable, verify_code
+from xbifix.words import CapacityError, Word, find_expansion, format_code, verify_code
 
 from oracles import code_of, digits_oracle, generate_recursive, naive_fib_list
 
@@ -118,8 +118,8 @@ class TestVerification:
                 assert verify_code(generate_direct(n, k, q))
 
     def test_nonexpandable_examples(self):
-        assert is_nonexpandable(generate_direct(7, 2, 2))
-        assert is_nonexpandable(generate_direct(10, 3, 2))
+        assert find_expansion(generate_direct(7, 2, 2)) is None
+        assert find_expansion(generate_direct(10, 3, 2)) is None
 
     def test_nonexpandable_iff_long_enough(self):
         # nonexpandability holds exactly when n >= 2k+1; shorter codes
@@ -129,16 +129,14 @@ class TestVerification:
             for n in range(4, 13 if q == 2 else 11):
                 for k in valid_ks(n):
                     expected = n >= 2 * k + 1 or (q, n, k) == (2, 4, 2)
-                    got = is_nonexpandable(generate_direct(n, k, q))
+                    got = find_expansion(generate_direct(n, k, q)) is None
                     assert got == expected, (n, k, q)
 
     def test_expansion_witness_is_valid(self):
-        from xbifix.words import find_expansion, verify_code as vc
-
         code = generate_direct(6, 3, 2)
         extra = find_expansion(code)
         assert extra is not None
-        assert vc(code_of(code.sorted_words() + [extra]))
+        assert verify_code(code_of(code.sorted_words() + [extra]))
 
 
 class TestBestSize:
@@ -171,8 +169,3 @@ class TestBestSize:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             best_size(2, 2)
-
-    def test_json_uses_decimal_strings(self):
-        d = best_size(30, 2).to_json_dict()
-        assert d["size"] == "7555935"
-        assert all(isinstance(v, str) for v in d["per_k"].values())
