@@ -156,12 +156,13 @@ def alpha(k, q, bits, as_json):
 def table(q, n_max, as_json, markdown, clique_upto):
     """Per-length size table: earlier construction, this construction,
     best k, and the variance upper bound."""
+    lengths = range(3 if q == 2 else 4, n_max + 1)  # n = 3 only for q = 2
+    if not lengths:
+        raise ValueError(f"--n-max {n_max} is below the first tabulated length {lengths.start}")
     if clique_upto:
         _desk_scale(min(clique_upto, n_max), q, "run `xbifix clique --long` for longer lengths")
     rows = []
-    for n in range(3, n_max + 1):
-        if n == 3 and q != 2:
-            continue
+    for n in lengths:
         rep = bounds_report(n, q)
         optimal = None
         if clique_upto and n <= clique_upto:
@@ -195,6 +196,8 @@ def table(q, n_max, as_json, markdown, clique_upto):
 
 def probe(q, k_min, k_max, c, as_json):
     """Asymptotic ratio diagnostics along n(k) = ceil(c * alpha**k)."""
+    if k_max < k_min:
+        raise ValueError(f"--k-max {k_max} is below --k-min {k_min}")
     rows = asymptotic_probe(q, range(k_min, k_max + 1), c=c)
     target = target_ratio(q)
     if as_json:

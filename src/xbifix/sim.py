@@ -8,7 +8,8 @@ bound.
 
 Trials draw their symbols in blocks from one generator per run, so
 results are deterministic for a fixed (seed, trials, code, max_stream).
-Windows are base-q int64 values: codes with q**n above 2**63 are refused.
+Windows are base-q values in the narrowest signed int type that holds
+q**n (int16, int32 or int64): codes with q**n above 2**63 are refused.
 A window is tested in a bool flag table up to q**n = 2**20 (1 MB), by
 binary search in the codeword values above.  Configs whose per-trial
 state exceeds STATE_CAP bytes are refused before any array exists.
@@ -60,13 +61,17 @@ class SyncStats(NamedTuple):
 
 
 def _windows(buf: np.ndarray, n: int, q: int) -> np.ndarray:
-    """Base-q values of each row's length-n windows: ~2*log2(n) multiply-adds."""
-    win, size = buf.astype("int64"), 1
+    """Base-q values of each row's length-n windows: ~2*log2(n) multiply-adds
+    on the rows laid end to end, in the narrowest int type holding q**n, which
+    bounds every partial value; windows across a row end and n-1 fillers are cut."""
+    import numpy as np
+    flat = buf.reshape(-1)
+    win, size = flat.astype("int16" if q**n <= 2**15 else "int32" if q**n <= 2**31 else "int64"), 1
     for bit in bin(n)[3:]:
-        win, size = win[:, :-size] * q**size + win[:, size:], 2 * size
+        win, size = win[:-size] * q**size + win[size:], 2 * size
         if bit == "1":
-            win, size = win[:, :-1] * q + buf[:, size:], size + 1
-    return win
+            win, size = win[:-1] * q + flat[size:], size + 1
+    return np.concatenate((win, win[:n - 1])).reshape(buf.shape)[:, :buf.shape[1] - n + 1]
 
 
 def match_times(cfg: SimConfig) -> np.ndarray:

@@ -91,6 +91,18 @@ def compatibility_matrix(values, n: int, q: int):
     return ok
 
 
+def int64_windows(buf, n: int, q: int):
+    """Base-q values of each row's length-n windows by int64 multiply-adds
+    on the rows' 2-D slices: the reference whose match times the
+    simulator's flat, narrow-typed kernel must reproduce."""
+    win, size = buf.astype("int64"), 1
+    for bit in bin(n)[3:]:
+        win, size = win[:, :-size] * q**size + win[:, size:], 2 * size
+        if bit == "1":
+            win, size = win[:, :-1] * q + buf[:, size:], size + 1
+    return win
+
+
 @functools.lru_cache(maxsize=4)
 def _word_symbols(code: Code) -> frozenset[tuple[int, ...]]:
     return frozenset(w.symbols for w in code.sorted_words())

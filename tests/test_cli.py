@@ -227,11 +227,12 @@ class TestTable:
         assert lines[-1] == "9    14      13  2     30        "
         assert len(lines) == 8
 
-    def test_no_rows_prints_the_header(self, runner):
-        # q=3 starts at n=4, so n-max 3 leaves no rows
+    def test_no_rows_refused(self, runner):
+        # q=3 starts at n=4, so n-max 3 leaves no rows: refused, not a bare header
         result = runner.invoke(main, ["table", "--q", "3", "--n-max", "3"])
-        assert result.exit_code == 0
-        assert result.stdout.split() == ["n", "B(n)", "S(n,3)", "k", "bound", "C(n,q)"]
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "usage: --n-max 3 is below the first tabulated length 4\n"
 
     def test_clique_upto_beyond_desk_scale(self, runner):
         result = runner.invoke(main, ["table", "--n-max", "15", "--clique-upto", "15"])
@@ -491,6 +492,8 @@ class TestErrors:
         [
             (["table", "--q", "1"], 2),
             (["probe", "--k-min", "1", "--k-max", "3"], 2),
+            (["probe", "--k-max", "3"], 2),  # below the default --k-min 4: no row
+            (["table", "--n-max", "2"], 2),  # the table starts at n = 3: no row
             (["probe", "--k-max", "5", "--c", "-1"], 2),
             (["probe", "--k-max", "5", "--c", "inf"], 2),
             (["probe", "--k-max", "5", "--c", "1e400"], 2),

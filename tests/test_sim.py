@@ -9,9 +9,9 @@ from xbifix import sim
 from xbifix.bounds import variance_formula
 from xbifix.construction import generate_direct
 from xbifix.sim import SimConfig, match_times, run_sim
-from xbifix.words import CapacityError, Word
+from xbifix.words import CapacityError, Code, Word
 
-from oracles import code_of, exact_pmf, naive_first_match_time
+from oracles import code_of, exact_pmf, int64_windows, naive_first_match_time
 
 
 def W(digits, q=2):
@@ -126,8 +126,10 @@ class TestRunSim:
 
     def test_windows_every_length(self):
         # the doubling must give each window's base-q value at every
-        # length, up to the int64 limit q**n <= 2**63
+        # length, up to the int64 limit q**n <= 2**63, in the narrowest
+        # signed type whose largest value holds q**n - 1
         rng = np.random.default_rng(8)
+        binary = {}
         for q in (2, 3, 36):
             for n in range(1, 64):
                 if q**n > 2**63:
@@ -137,7 +139,32 @@ class TestRunSim:
                 expected = [
                     [Word(tuple(row[s:s + n]), q).to_value() for s in range(5)] for row in buf.tolist()
                 ]
-                assert sim._windows(buf, n, q).tolist() == expected, (n, q)
+                win = sim._windows(buf, n, q)
+                assert win.tolist() == expected, (n, q)
+                narrowest = next(t for t in (np.int16, np.int32, np.int64) if np.iinfo(t).max >= q**n - 1)
+                assert win.dtype == narrowest, (n, q)
+                if q == 2:
+                    binary[n] = win.dtype
+        assert [binary[n] for n in (15, 16, 31, 32)] == [np.int16, np.int32, np.int32, np.int64]
+
+    @pytest.mark.parametrize(
+        "n,k,q,trials,max_stream",
+        [(7, 2, 2, 20_000, None), (10, 3, 2, 20_000, None), (7, 2, 3, 20_000, None), (20, 10, 2, 5000, None),
+         (16, 5, 3, 2000, None), (7, 2, 2, 5000, 30)],
+        ids=["7-2-2", "10-3-2", "7-2-3", "20-10-2", "16-5-3-search", "7-2-2-capped"],
+    )
+    def test_narrow_windows_match_int64_kernel(self, monkeypatch, n, k, q, trials, max_stream):
+        # the benchmark's four sync cases, a binary-search code and a capped
+        # run: the same draws give the same times as the int64 kernel's
+        cap = {} if max_stream is None else {"max_stream": max_stream}
+        cfg = SimConfig(code=generate_direct(n, k, q), trials=trials, seed=5, **cap)
+        assert (q**n > sim._TABLE_MAX) == (n == 16)
+        narrow = match_times(cfg)
+        monkeypatch.setattr(sim, "_windows", int64_windows)
+        wide = match_times(cfg)
+        assert narrow.dtype == wide.dtype == np.int64
+        assert narrow.tolist() == wide.tolist()
+        assert (narrow > 0).any() and ((narrow == 0).any() == (max_stream is not None))
 
     def test_max_stream_positive(self):
         for cap in (0, -3):
@@ -148,6 +175,7 @@ class TestRunSim:
         # every trial's time must equal the symbol-at-a-time scanner's on
         # that trial's symbols, replayed from the draws the run made
         draws = record_draws(monkeypatch)
+        complemented = Code(tuple(sorted(36**6 - 1 - v for v in generate_direct(6, 3, 36).values)), 6, 36)
         cases = [
             # enough trials for a pass to span several blocks
             (SimConfig(code=generate_direct(7, 2, 2), trials=5000, seed=21), 2),
@@ -157,6 +185,11 @@ class TestRunSim:
             (SimConfig(code=code_of([W("z", q=36)]), trials=300, seed=21), 1),
             # 13,624 words: the scanner's target set is built once per call
             (SimConfig(code=generate_direct(21, 5, 2), trials=200, seed=21), 1),
+            # 36**6 > 2**31: int64 windows, tested by binary search in
+            # 44,100 words, each the (6,3,36) code's word with every symbol
+            # s turned to 35 - s, so that every value passes 2**31; the mean
+            # wait of 49,360 symbols passes max_stream, and 4 trials match
+            (SimConfig(code=complemented, trials=200, seed=21, max_stream=2000), 1),
             # max_stream cuts the second pass's take from 19 symbols to 11
             (SimConfig(code=generate_direct(7, 2, 2), trials=5000, seed=21, max_stream=30), 2),
         ]
