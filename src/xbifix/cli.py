@@ -24,6 +24,7 @@ from .sim import DEFAULT_MAX_STREAM, SimConfig, run_sim
 from .words import (
     CapacityError,
     check_alphabet,
+    digits,
     find_expansion,
     find_violation,
     format_code,
@@ -213,9 +214,9 @@ def clique(n, q, budget, long_run, witness_out):
     """Exact maximum cross-bifix-free code size by clique search."""
     if not long_run:
         _desk_scale(n, q, "pass --long to run anyway (runtime may be hours)")
-    graph = build_graph(n, q)
     if budget is not None and not budget > 0:
         raise ValueError("time_budget must be positive")
+    graph = build_graph(n, q)
     if witness_out is not None:  # an unwritable path fails before the search; a refused run leaves no file
         open(witness_out, "a").close()
     result = max_clique(graph, time_budget=budget)
@@ -270,12 +271,9 @@ def verify(code_file):
             raise
         verdict = "not checked (instance too large)"
     if violation is not None:
-        w1, w2, seg = violation
-        digits = w1.to_digits()
-        print(
-            f"cross-bifix-free: no (prefix {digits[:len(seg)]!r} of {digits} "
-            f"is a suffix of {w2.to_digits()})"
-        )
+        owner, other, length = violation
+        owner, other = digits([owner, other], code.n, code.q)
+        print(f"cross-bifix-free: no (prefix {owner[:length]!r} of {owner} is a suffix of {other})")
         raise SystemExit(EXIT_VIOLATION)
     print(f"cross-bifix-free: yes; nonexpandable: {verdict}")
 

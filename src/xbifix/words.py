@@ -7,13 +7,16 @@ A code is cross-bifix-free when no proper prefix of any member equals a
 proper suffix of any member, the member itself included.
 
 A word of length n is its base-q value v, leftmost symbol most
-significant; a `Code` holds its members' values ascending (lexicographic
-order), and `Word` is a view.  The proper prefix of length L is
-v // q**(n-L) and the proper suffix is v % q**L, so every affix test is
-one integer comparison.  Python ints are unbounded, so the predicates
-accept any (n, q) a code file can hold.  The module imports no numpy: the
-nonexpandability check walks prefixes in plain ints over flag arrays
-indexed by affix value.
+significant, and every function here takes and returns words as values;
+a `Code` holds its members' values ascending (lexicographic order).
+Symbols appear only where words are spelled out: `digits`, the one path
+from values to symbols, writes them as base-36 digit strings, and
+`parse_code` reads such strings back.  The proper
+prefix of length L is v // q**(n-L) and the proper suffix is v % q**L,
+so every affix test is one integer comparison.  Python ints are
+unbounded, so the predicates accept any (n, q) a code file can hold.
+The module imports no numpy: the nonexpandability check walks prefixes
+in plain ints over flag arrays indexed by affix value.
 
 All types are immutable after construction; every operation here is a pure
 function.
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import product, repeat
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 MAX_Q = len(DIGITS)  # words serialize as single base-36 digits
@@ -87,60 +90,16 @@ class Frozen:
         return hash(self._key())
 
 
-class Word(Frozen):
-    """An n-symbol word over the alphabet {0, ..., q-1}."""
-
-    __slots__ = ("symbols", "q")
-    symbols: tuple[int, ...]
-    q: int
-
-    def __init__(self, symbols: tuple[int, ...], q: int):
-        check_alphabet(q)
-        if len(symbols) < 1:
-            raise ValueError("word must have length >= 1")
-        for s in symbols:
-            if not 0 <= s <= q - 1:
-                raise ValueError(f"symbol {s} outside [0, {q - 1}]")
-        self._freeze(symbols, q)
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.symbols)
-
-    def to_digits(self) -> str:
-        return "".join(DIGITS[s] for s in self.symbols)
-
-    @classmethod
-    def from_value(cls, value: int, n: int, q: int) -> "Word":
-        """The length-n word whose base-q value is `value`."""
-        if not 0 <= value < q**n:
-            raise ValueError(f"value {value} outside [0, {q}**{n})")
-        symbols = [0] * n
-        for i in range(n - 1, -1, -1):
-            value, symbols[i] = divmod(value, q)
-        return cls(tuple(symbols), q)
-
-    def to_value(self) -> int:
-        """The word as a base-q integer, leftmost symbol most significant."""
-        value = 0
-        for s in self.symbols:
-            value = value * self.q + s
-        return value
-
-    def __repr__(self) -> str:
-        return f"Word({self.to_digits()!r}, q={self.q})"
+class Word(NamedTuple):
+    symbols: tuple[int, ...]  # leftmost first
 
 
-def cross_pair_ok(u: Word, v: Word) -> bool:
-    """True iff no proper prefix of either word is a proper suffix of the
-    other.  cross_pair_ok(w, w) says whether w is bifix-free."""
-    if len(u) != len(v):
-        raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    if u.q != v.q:
-        raise ValueError(f"alphabet mismatch: q={u.q} vs q={v.q}")
-    n, q, a, b = len(u), u.q, u.to_value(), v.to_value()
+def cross_pair_ok(a: int, b: int, n: int, q: int) -> bool:
+    """True iff no proper prefix of either length-n word, given by its
+    value, is a proper suffix of the other.  cross_pair_ok(v, v, n, q)
+    says whether v is bifix-free."""
+    if not (0 <= a < q**n and 0 <= b < q**n):
+        raise ValueError(f"values {a}, {b}: need both in [0, {q}**{n})")
     return _shortest_shared([a], [b], n, q) is None and _shortest_shared([b], [a], n, q) is None
 
 
@@ -182,7 +141,7 @@ class Code(Frozen):
         return len(self.values)
 
     def sorted_words(self) -> list[Word]:
-        return [Word.from_value(v, self.n, self.q) for v in self.values]
+        return [Word(tuple(map(DIGITS.index, w))) for w in digits(self.values, self.n, self.q)]
 
 
 def _affix_pools(
@@ -221,27 +180,26 @@ def verify_code(code: Code) -> bool:
     return _shortest_shared(code.values, code.values, code.n, code.q) is None
 
 
-def find_violation(code: Code) -> Optional[tuple[Word, Word, tuple[int, ...]]]:
-    """A witness (prefix owner, suffix owner, shared segment) that breaks
+def find_violation(code: Code) -> Optional[tuple[int, int, int]]:
+    """A witness (prefix owner, suffix owner, segment length) that breaks
     the cross-bifix-free property, or None when the code is valid.  The
     segment is the shortest and, among those, the least; its owners are
-    the least words that carry it."""
+    the least values that carry it."""
     n, q, values = code.n, code.q, code.values
     found = _shortest_shared(values, values, n, q)
     if found is None:
         return None
     length, segment = found
-    owner = Word.from_value(next(v for v in values if v // q ** (n - length) == segment), n, q)
-    other = Word.from_value(next(v for v in values if v % q**length == segment), n, q)
-    return owner, other, owner.symbols[:length]
+    owner = next(v for v in values if v // q ** (n - length) == segment)
+    return owner, next(v for v in values if v % q**length == segment), length
 
 
-def find_expansion(code: Code) -> Optional[Word]:
-    """The lexicographically least word whose addition keeps the code
-    cross-bifix-free, or None.  Prefixes are walked least first, _BLOCK
-    at a time, keeping those that are no member's suffix; a full word then
-    survives when no suffix of it is a member's prefix (shortest first),
-    it is no member and it is bifix-free."""
+def find_expansion(code: Code) -> Optional[int]:
+    """The value of the lexicographically least word whose addition keeps
+    the code cross-bifix-free, or None.  Prefixes are walked least first,
+    _BLOCK at a time, keeping those that are no member's suffix; a full
+    word then survives when no suffix of it is a member's prefix (shortest
+    first), it is no member and it is bifix-free."""
     n, q, values = code.n, code.q, code.values
     check_power_cap(q, n, NONEXPANDABLE_CAP)
     affixes = [bytearray(1)] * n  # by affix value: 1 a member's prefix, 2 a suffix
@@ -274,7 +232,7 @@ def find_expansion(code: Code) -> Optional[Word]:
             flags, m = affixes[tail], q**tail
             words = [w for w in words if flags[w % m] != 1]
         if words := bifix_free(words, n, q):
-            return Word.from_value(words[0], n, q)
+            return words[0]
     return None
 
 
@@ -282,17 +240,20 @@ def find_expansion(code: Code) -> Optional[Word]:
 # file format: '# xbifix code n=<n> q=<q>' header, one base-36 word per
 # line, lexicographically sorted, LF line endings.
 
-def format_code(code: Code) -> str:
-    """Words go h digits at a time through a table of all h-digit strings."""
-    n, q = code.n, code.q
-    h = max(h for h in range(1, 13) if q**h <= 1 << 12)
+def digits(values: Sequence[int], n: int, q: int) -> list[str]:
+    """The length-n base-36 digit strings of the values, h digits at a time
+    through a table of all h-digit strings: at most 4,096, and q per value."""
+    h = max(h for h in range(1, 13) if q**h <= min(1 << 12, q * len(values)))
     base, table = q**h, ["".join(t) for t in product(DIGITS[:q], repeat=h)]
-    chunks, columns, rest = -(-n // h), [], code.values
+    chunks, columns, rest = -(-n // h), [], values
     for _ in range(chunks):  # least significant chunk first
         columns.append([table[v % base] for v in rest])
         rest = [v // base for v in rest]
-    words = ("".join(parts)[chunks * h - n:] for parts in zip(*reversed(columns)))
-    return "\n".join([f"# xbifix code n={n} q={q}", *words]) + "\n"
+    return ["".join(parts)[chunks * h - n:] for parts in zip(*reversed(columns))]
+
+
+def format_code(code: Code) -> str:
+    return "\n".join([f"# xbifix code n={code.n} q={code.q}", *digits(code.values, code.n, code.q)]) + "\n"
 
 
 def parse_code(text: str) -> Code:

@@ -10,14 +10,37 @@ import functools
 import itertools
 
 from xbifix.construction import ENUM_CAP, validate_params
-from xbifix.words import CapacityError, Code, Word
+from xbifix.words import CapacityError, Code
 
 
-def code_of(words) -> Code:
-    """The code of equal-length words over one alphabet, repeats dropped:
-    their values through Word.to_value, ascending."""
+def value_of(symbols: tuple[int, ...], q: int) -> int:
+    """The base-q value of a word's symbols, leftmost most significant."""
+    value = 0
+    for s in symbols:
+        value = value * q + s
+    return value
+
+
+def symbols_of(value: int, n: int, q: int) -> tuple[int, ...]:
+    """The n base-q symbols of value, most significant first, one divmod
+    per symbol."""
+    symbols = []
+    for _ in range(n):
+        value, s = divmod(value, q)
+        symbols.append(s)
+    return tuple(reversed(symbols))
+
+
+def code_symbols(code: Code) -> list[tuple[int, ...]]:
+    """The code's words as symbol tuples, ascending."""
+    return [symbols_of(v, code.n, code.q) for v in code.values]
+
+
+def code_of(words, q: int = 2) -> Code:
+    """The code of equal-length symbol tuples over Z_q, repeats dropped:
+    their values, ascending."""
     words = list(words)
-    return Code(tuple(sorted({w.to_value() for w in words})), len(words[0]), words[0].q)
+    return Code(tuple(sorted({value_of(w, q) for w in words})), len(words[0]), q)
 
 
 def naive_is_bifix_free(symbols: tuple[int, ...]) -> bool:
@@ -39,7 +62,7 @@ def naive_cross_pair_ok(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
 
 
 def naive_verify(code: Code) -> bool:
-    words = [w.symbols for w in code.sorted_words()]
+    words = code_symbols(code)
     for u in words:
         for v in words:
             if not naive_cross_pair_ok(u, v):
@@ -47,13 +70,14 @@ def naive_verify(code: Code) -> bool:
     return True
 
 
-def naive_least_expansion(code: Code) -> Word | None:
-    """The first of all q**n words, in lexicographic order, that is no
-    member and keeps the code cross-bifix-free when added; None if none."""
-    current = {w.symbols for w in code.sorted_words()}
-    for cand in itertools.product(range(code.q), repeat=code.n):
+def naive_least_expansion(code: Code) -> int | None:
+    """The value of the first of all q**n words, in lexicographic order,
+    that is no member and keeps the code cross-bifix-free when added;
+    None if none.  The product enumerates the words in value order."""
+    current = set(code_symbols(code))
+    for value, cand in enumerate(itertools.product(range(code.q), repeat=code.n)):
         if cand not in current and all(naive_cross_pair_ok(cand, w) for w in current | {cand}):
-            return Word(cand, code.q)
+            return value
     return None
 
 
@@ -105,7 +129,7 @@ def int64_windows(buf, n: int, q: int):
 
 @functools.lru_cache(maxsize=4)
 def _word_symbols(code: Code) -> frozenset[tuple[int, ...]]:
-    return frozenset(w.symbols for w in code.sorted_words())
+    return frozenset(code_symbols(code))
 
 
 def naive_first_match_time(code: Code, stream: list[int], cap: int | None = None) -> int | None:
@@ -186,17 +210,13 @@ def numeric_roots_inside_unit_disk(k: int, q: int, tol: float = 1e-8) -> bool:
 
 def digits_oracle(value: int, n: int, q: int) -> str:
     """The length-n base-q digits of value, most significant first, one
-    divmod per symbol: an oracle for words.format_code."""
-    symbols = []
-    for _ in range(n):
-        value, s = divmod(value, q)
-        symbols.append("0123456789abcdefghijklmnopqrstuvwxyz"[s])
-    return "".join(reversed(symbols))
+    divmod per symbol: an oracle for words.digits."""
+    return "".join("0123456789abcdefghijklmnopqrstuvwxyz"[s] for s in symbols_of(value, n, q))
 
 
 def all_words(n: int, q: int):
-    for t in itertools.product(range(q), repeat=n):
-        yield Word(t, q)
+    """All q**n symbol tuples of length n, in value order."""
+    return itertools.product(range(q), repeat=n)
 
 
 def generate_recursive(n: int, k: int, q: int, cap: int = ENUM_CAP) -> Code:
@@ -241,4 +261,4 @@ def generate_recursive(n: int, k: int, q: int, cap: int = ENUM_CAP) -> Code:
         memo[m] = out
         return out
 
-    return code_of(Word(t, q) for t in build(n))
+    return code_of(build(n), q)

@@ -288,6 +288,16 @@ class TestClique:
         assert f"{parameters['nodes_explored']} nodes, {parameters['wall_time']:.2f}s]" in result.output
         assert parameters["wall_time"] >= 0
 
+    def test_bad_budget_fails_before_the_graph(self, runner, monkeypatch):
+        # (17,2) takes about a second to build; a refused budget must not wait for it
+        def no_graph(*args, **kwargs):
+            raise AssertionError("the graph was built")
+
+        monkeypatch.setattr("xbifix.cli.build_graph", no_graph)
+        result = runner.invoke(main, ["clique", "--n", "17", "--long", "--budget", "0"])
+        assert result.exit_code == 2
+        assert result.stderr == "usage: time_budget must be positive\n"
+
     def test_unwritable_witness_fails_before_the_search(self, runner, monkeypatch):
         def no_search(*args, **kwargs):
             raise AssertionError("the search ran")
@@ -400,6 +410,14 @@ class TestSimVerify:
         assert result.exit_code == 1
         assert result.output == (
             "cross-bifix-free: no (prefix 'a' of a01 is a suffix of b1a)\n"
+        )
+        # a two-symbol segment, spelled through the q=36 digit table
+        path = tmp_path / "q36.txt"
+        path.write_text("# xbifix code n=3 q=36\nab0\nzab\n")
+        result = runner.invoke(main, ["verify", str(path)])
+        assert result.exit_code == 1
+        assert result.output == (
+            "cross-bifix-free: no (prefix 'ab' of ab0 is a suffix of zab)\n"
         )
 
     def test_verify_parse_error_exit_2(self, runner, tmp_path):

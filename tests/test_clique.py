@@ -9,11 +9,12 @@ import pytest
 from xbifix import clique
 from xbifix.clique import CompatGraph, build_graph, max_clique
 from xbifix.construction import best_size
-from xbifix.words import CapacityError, Word, cross_pair_ok, verify_code
+from xbifix.words import CapacityError, cross_pair_ok, verify_code
 
 from oracles import (
     all_words,
     compatibility_matrix,
+    digits_oracle,
     full_compatibility_graph,
     naive_cross_pair_ok,
     naive_is_bifix_free,
@@ -31,7 +32,7 @@ NODE_CEILING = {(12, 2): 360, (13, 2): 1180, (6, 4): 400, (4, 10): 1500}
 
 def brute_force_max_clique(n, q):
     """Exhaustive DFS over bifix-free words; independent of the solver."""
-    words = [w.symbols for w in all_words(n, q) if naive_is_bifix_free(w.symbols)]
+    words = [w for w in all_words(n, q) if naive_is_bifix_free(w)]
     best = 0
 
     def extend(chosen, rest):
@@ -93,7 +94,7 @@ def split_sets(n, q):
     """Per component of build_graph(n, q), its set of words as digit strings,
     from the definitions: the bifix-free words that start below s and end at
     s or above, s = 1..q//2; for q = 2 and n >= 3, those that start with 00."""
-    words = [w.to_digits() for w in all_words(n, q) if naive_is_bifix_free(w.symbols)]
+    words = [digits_oracle(v, n, q) for v, w in enumerate(all_words(n, q)) if naive_is_bifix_free(w)]
     if n == 1:
         return [set(words)]
     head = 2 if q == 2 and n >= 3 else 1
@@ -122,7 +123,7 @@ class TestBuildGraph:
         # q=2 keeps the bifix-free words 00...1 from n=3 on, n=2 the word 01
         # that starts below 1 and ends at 1, and n=1 every word
         def digits(n, q):
-            return sorted(Word.from_value(v, n, q).to_digits() for v in build_graph(n, q).vertices)
+            return sorted(digits_oracle(v, n, q) for v in build_graph(n, q).vertices)
 
         assert digits(4, 2) == ["0001", "0011"]
         assert digits(3, 2) == ["001"]
@@ -142,7 +143,7 @@ class TestBuildGraph:
         assert len(parts) == (1 if n == 1 else q // 2)
         assert parts[-1].stop == len(g.vertices)
         for part, expected in zip(parts, split_sets(n, q)):
-            words = [Word.from_value(g.vertices[i], n, q).to_digits() for i in part]
+            words = [digits_oracle(g.vertices[i], n, q) for i in part]
             assert len(words) == len(set(words)) and set(words) == expected
             outside = sum(1 << i for i in range(len(g.vertices)) if i not in part)
             assert not any(g.adjacency[i] & outside for i in part)
@@ -155,7 +156,7 @@ class TestBuildGraph:
                 if i == j:
                     assert not edge
                 else:
-                    assert edge == cross_pair_ok(Word.from_value(u, 5, 2), Word.from_value(v, 5, 2))
+                    assert edge == cross_pair_ok(u, v, 5, 2)
 
     @pytest.mark.parametrize("n,q", [(13, 2), (12, 2), (7, 3), (5, 4), (6, 4)])
     def test_matches_compatibility_oracle(self, n, q):
@@ -205,9 +206,9 @@ class TestOrbits:
 
     @pytest.mark.parametrize("n,q", [(8, 2), (5, 3), (4, 4), (3, 16)])
     def test_generators_are_automorphisms(self, n, q):
-        words = [w for w in all_words(n, q) if naive_is_bifix_free(w.symbols)]
-        adjacency = compatibility_matrix([w.to_value() for w in words], n, q)
-        symbols = [w.symbols for w in words]
+        words = [(v, w) for v, w in enumerate(all_words(n, q)) if naive_is_bifix_free(w)]
+        adjacency = compatibility_matrix([v for v, _ in words], n, q)
+        symbols = [w for _, w in words]
         for name, f in generators(q).items():
             perm = vertex_map(symbols, f)
             assert sorted(perm) == list(range(len(perm))), name

@@ -1,9 +1,9 @@
 import pytest
 
 from xbifix.construction import best_size, generate_direct, size_formula
-from xbifix.words import CapacityError, Word, find_expansion, format_code, verify_code
+from xbifix.words import CapacityError, Code, find_expansion, format_code, verify_code
 
-from oracles import code_of, digits_oracle, generate_recursive, naive_fib_list
+from oracles import code_symbols, digits_oracle, generate_recursive, naive_fib_list
 
 # published size table for the binary alphabet: n -> (S(n,2), best k)
 TABLE = {
@@ -23,12 +23,12 @@ def valid_ks(n):
 class TestGenerateDirect:
     def test_n7_k2_binary(self):
         code = generate_direct(7, 2, 2)
-        got = {w.to_digits() for w in code.sorted_words()}
+        got = {digits_oracle(v, 7, 2) for v in code.values}
         assert got == {"0010101", "0010111", "0011011", "0011101", "0011111"}
 
     def test_n4_k2_binary(self):
         code = generate_direct(4, 2, 2)
-        assert {w.to_digits() for w in code.sorted_words()} == {"0011"}
+        assert {digits_oracle(v, 4, 2) for v in code.values} == {"0011"}
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     @pytest.mark.parametrize("k", [2, 3, 5])
@@ -39,8 +39,7 @@ class TestGenerateDirect:
 
     def test_membership_structure(self):
         for n, k, q in [(8, 2, 2), (9, 3, 2), (7, 2, 3)]:
-            for w in generate_direct(n, k, q).sorted_words():
-                s = w.symbols
+            for s in code_symbols(generate_direct(n, k, q)):
                 assert s[:k] == (0,) * k
                 assert s[k] != 0
                 assert s[-1] != 0
@@ -135,8 +134,8 @@ class TestVerification:
     def test_expansion_witness_is_valid(self):
         code = generate_direct(6, 3, 2)
         extra = find_expansion(code)
-        assert extra is not None
-        assert verify_code(code_of(code.sorted_words() + [extra]))
+        assert extra is not None and extra not in code.values
+        assert verify_code(Code(tuple(sorted((*code.values, extra))), code.n, code.q))
 
 
 class TestBestSize:

@@ -9,13 +9,14 @@ from xbifix import sim
 from xbifix.bounds import variance_formula
 from xbifix.construction import generate_direct
 from xbifix.sim import SimConfig, match_times, run_sim
-from xbifix.words import CapacityError, Code, Word
+from xbifix.words import CapacityError, Code
 
-from oracles import code_of, exact_pmf, int64_windows, naive_first_match_time
+from oracles import code_of, exact_pmf, int64_windows, naive_first_match_time, value_of
 
 
-def W(digits, q=2):
-    return Word.from_value(int(digits, q), len(digits), q)
+def W(digits):
+    """The symbols of a word written in base-36 digits."""
+    return tuple(int(c, 36) for c in digits)
 
 
 class TestRunSim:
@@ -71,7 +72,7 @@ class TestRunSim:
 
     def test_int64_window_range_guard(self):
         # 3**40 > 2**63: int64 windows would wrap, so the config is refused
-        code = code_of([W("2" * 39 + "0", q=3)])
+        code = code_of([W("2" * 39 + "0")], 3)
         with pytest.raises(CapacityError):
             SimConfig(code=code, trials=1)
 
@@ -137,7 +138,7 @@ class TestRunSim:
                 buf = rng.integers(0, q, size=(3, n + 4), dtype=np.uint8)
                 buf[0, :n] = q - 1  # the largest window, q**n - 1
                 expected = [
-                    [Word(tuple(row[s:s + n]), q).to_value() for s in range(5)] for row in buf.tolist()
+                    [value_of(row[s:s + n], q) for s in range(5)] for row in buf.tolist()
                 ]
                 win = sim._windows(buf, n, q)
                 assert win.tolist() == expected, (n, q)
@@ -182,7 +183,7 @@ class TestRunSim:
             # a ternary code
             (SimConfig(code=generate_direct(6, 2, 3), trials=200, seed=21), 1),
             # a length-1 code: nothing carries over between passes
-            (SimConfig(code=code_of([W("z", q=36)]), trials=300, seed=21), 1),
+            (SimConfig(code=code_of([W("z")], 36), trials=300, seed=21), 1),
             # 13,624 words: the scanner's target set is built once per call
             (SimConfig(code=generate_direct(21, 5, 2), trials=200, seed=21), 1),
             # 36**6 > 2**31: int64 windows, tested by binary search in

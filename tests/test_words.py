@@ -9,9 +9,9 @@ from xbifix.words import (
     CapacityError,
     Code,
     CodeFormatError,
-    Word,
     bifix_free,
     cross_pair_ok,
+    digits,
     find_expansion,
     find_violation,
     format_code,
@@ -24,59 +24,46 @@ from xbifix.words import (
 from oracles import (
     all_words,
     code_of,
+    code_symbols,
+    digits_oracle,
     naive_cross_pair_ok,
     naive_is_bifix_free,
     naive_is_nonexpandable,
     naive_least_expansion,
     naive_verify,
+    symbols_of,
+    value_of,
 )
 
 
-def W(digits, q=2):
-    return Word.from_value(int(digits, q), len(digits), q)
+def W(digits):
+    """The symbols of a word written in base-36 digits."""
+    return tuple(int(c, 36) for c in digits)
 
 
-def filter_keeps(w):
-    """The bifix_free filter's verdict on the one word w."""
-    return bifix_free([w.to_value()], len(w), w.q) == [w.to_value()]
+def filter_keeps(symbols, q=2):
+    """The bifix_free filter's verdict on the one word."""
+    v = value_of(symbols, q)
+    return bifix_free([v], len(symbols), q) == [v]
 
 
 words_strategy = st.integers(2, 4).flatmap(
     lambda q: st.lists(st.integers(0, q - 1), min_size=1, max_size=12).map(
-        lambda sym: Word(tuple(sym), q)
+        lambda sym: (tuple(sym), q)
     )
 )
-
-
-class TestWord:
-    def test_symbol_range_enforced(self):
-        with pytest.raises(ValueError):
-            Word((0, 2), 2)
-        with pytest.raises(ValueError):
-            Word((-1,), 2)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Word((), 2)
-
-    def test_q_range(self):
-        with pytest.raises(ValueError):
-            Word((0,), 1)
-        with pytest.raises(ValueError):
-            Word((0,), 37)
 
 
 def test_value_classes_compare_by_field_and_are_read_only():
     from xbifix.sim import SimConfig
 
-    w, code = W("01"), Code((1, 4), 3, 2)  # {001, 100}
+    code = Code((1, 4), 3, 2)  # {001, 100}
     config = SimConfig(Code((1,), 3, 2), 10)
-    assert w == W("01") and hash(w) == hash(W("01")) and w != W("01", q=3)
     assert code == Code((1, 4), 3, 2) and hash(code) == hash(Code((1, 4), 3, 2)) and code != Code((1,), 3, 2)
     assert config == SimConfig(Code((1,), 3, 2), 10, 0) and config != SimConfig(Code((1,), 3, 2), 10, 1)
-    assert w != code and w != (w.symbols, w.q)  # equal only to the same class
-    assert (len(w), list(w), len(code)) == (2, [0, 1], 2)
-    for obj, field in ((w, "q"), (code, "values"), (config, "trials")):
+    assert code != (code.values, code.n, code.q)  # equal only to the same class
+    assert len(code) == 2
+    for obj, field in ((code, "values"), (config, "trials")):
         with pytest.raises(AttributeError):
             setattr(obj, field, 5)
         with pytest.raises(AttributeError):
@@ -94,7 +81,7 @@ class TestBifixFree:
 
     def test_binary_length4_count(self):
         # frozen from exhaustive enumeration with the naive check
-        count = sum(filter_keeps(w) for w in all_words(4, 2))
+        count = sum(map(filter_keeps, all_words(4, 2)))
         assert count == 6
 
     def test_length1_vacuous(self):
@@ -103,12 +90,12 @@ class TestBifixFree:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_oracle_equivalence_binary(self, n):
         for w in all_words(n, 2):
-            assert filter_keeps(w) == naive_is_bifix_free(w.symbols)
+            assert filter_keeps(w) == naive_is_bifix_free(w)
 
     def test_oracle_equivalence_ternary(self):
         for n in range(2, 8):
             for w in all_words(n, 3):
-                assert filter_keeps(w) == naive_is_bifix_free(w.symbols)
+                assert filter_keeps(w, 3) == naive_is_bifix_free(w)
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_filter_matches_oracle_in_order(self, q):
@@ -122,35 +109,38 @@ class TestBifixFree:
 
 class TestCrossPair:
     def test_self_pair_paper_word(self):
-        w = W("1100000")
-        assert cross_pair_ok(w, w)
+        v = 0b1100000
+        assert cross_pair_ok(v, v, 7, 2)
 
     def test_oracle_verdict_0011_1101(self):
-        assert cross_pair_ok(W("0011"), W("1101")) == naive_cross_pair_ok(
+        assert cross_pair_ok(0b0011, 0b1101, 4, 2) == naive_cross_pair_ok(
             (0, 0, 1, 1), (1, 1, 0, 1)
         )
-        assert not cross_pair_ok(W("0011"), W("1101"))
+        assert not cross_pair_ok(0b0011, 0b1101, 4, 2)
 
     def test_oracle_verdict_01_01(self):
         # the naive oracle's verdict, frozen: (0,1) against itself is fine
         assert naive_cross_pair_ok((0, 1), (0, 1))
-        assert cross_pair_ok(W("01"), W("01"))
+        assert cross_pair_ok(0b01, 0b01, 2, 2)
 
     def test_mismatch_rejected(self):
+        # values outside [0, q**n) are no length-n word: 0b100 has three symbols
         with pytest.raises(ValueError):
-            cross_pair_ok(W("01"), W("011"))
+            cross_pair_ok(0b01, 0b100, 2, 2)
         with pytest.raises(ValueError):
-            cross_pair_ok(W("01"), W("01", q=3))
+            cross_pair_ok(-1, 0b01, 2, 2)
 
     @given(words_strategy)
-    def test_self_pair_is_bifix_free(self, w):
-        assert cross_pair_ok(w, w) == filter_keeps(w)
+    def test_self_pair_is_bifix_free(self, word):
+        symbols, q = word
+        v = value_of(symbols, q)
+        assert cross_pair_ok(v, v, len(symbols), q) == filter_keeps(symbols, q)
 
     def test_oracle_equivalence_exhaustive(self):
         for n in (2, 3, 4, 5):
-            pool = list(all_words(n, 2))
-            for u, v in itertools.combinations_with_replacement(pool, 2):
-                assert cross_pair_ok(u, v) == naive_cross_pair_ok(u.symbols, v.symbols)
+            pool = list(enumerate(all_words(n, 2)))
+            for (a, u), (b, v) in itertools.combinations_with_replacement(pool, 2):
+                assert cross_pair_ok(a, b, n, 2) == naive_cross_pair_ok(u, v)
 
 
 class TestVerifyCode:
@@ -161,8 +151,8 @@ class TestVerifyCode:
     def test_violating_pair(self):
         code = code_of([W("01"), W("10")])
         assert not verify_code(code)
-        w1, w2, seg = find_violation(code)
-        assert seg in {(0,), (1,)}
+        # the segment 0, of length 1, is 01's prefix and 10's suffix
+        assert find_violation(code) == (0b01, 0b10, 1)
 
     def test_matches_naive_on_random_codes(self):
         import random
@@ -181,15 +171,16 @@ class TestVerifyCode:
         rng = random.Random(11)
         for _ in range(40):
             code = code_of(
-                Word(tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(60)), 3)
-                for _ in range(rng.randint(1, 4))
+                (tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(60)) for _ in range(rng.randint(1, 4))), 3
             )
             assert verify_code(code) == naive_verify(code)
             witness = find_violation(code)
             assert (witness is None) == verify_code(code)
             if witness is not None:
-                owner, other, seg = witness
-                assert owner.symbols[: len(seg)] == seg == other.symbols[-len(seg):]
+                owner, other, length = witness
+                assert owner in code.values and other in code.values and 1 <= length < 60
+                owner, other = symbols_of(owner, 60, 3), symbols_of(other, 60, 3)
+                assert owner[:length] == other[-length:]
 
     def test_permutation_invariant(self):
         words = [W("1100000"), W("1101010"), W("1100010")]
@@ -210,7 +201,7 @@ class TestCodeValues:
     def test_values_ascend(self):
         code = code_of([W("0111"), W("0011"), W("0001")])
         assert code.values == (1, 3, 7)
-        assert code.sorted_words() == [W("0001"), W("0011"), W("0111")]
+        assert [w.symbols for w in code.sorted_words()] == [W("0001"), W("0011"), W("0111")]
 
 
 def _round_trip_codes():
@@ -219,14 +210,14 @@ def _round_trip_codes():
     rng = random.Random(5)
     return [
         pytest.param(code_of(
-            Word(tuple(rng.randrange(3) for _ in range(60)), 3) for _ in range(20)
+            (tuple(rng.randrange(3) for _ in range(60)) for _ in range(20)), 3
         ), id="n60-q3"),
-        pytest.param(code_of(W(d, q=36) for d in ("0z", "a1", "zz", "00", "9a")), id="q36"),
+        pytest.param(code_of(map(W, ("0z", "a1", "zz", "00", "9a")), 36), id="q36"),
         pytest.param(code_of([W("0"), W("1")]), id="n1-q2"),
-        pytest.param(code_of([W("z", q=36)]), id="n1-q36"),
+        pytest.param(code_of([W("z")], 36), id="n1-q36"),
         # past the interpreter's int-to-str digit limit (4300 by default)
         pytest.param(code_of(
-            Word(tuple(rng.randrange(3) for _ in range(5000)), 3) for _ in range(3)
+            (tuple(rng.randrange(3) for _ in range(5000)) for _ in range(3)), 3
         ), id="n5000-q3"),
     ]
 
@@ -241,8 +232,8 @@ class TestNonexpandable:
     def test_expandable_example(self):
         code = code_of([W("00011")])
         expansion = find_expansion(code)
-        assert expansion is not None
-        assert verify_code(code_of(code.sorted_words() + [expansion]))
+        assert expansion is not None and expansion not in code.values
+        assert verify_code(Code(tuple(sorted((*code.values, expansion))), code.n, code.q))
 
     def test_matches_naive_small(self):
         import random
@@ -273,7 +264,7 @@ class TestNonexpandable:
                     members.append(cand)
             if not members:
                 continue
-            code = code_of(Word(w, q) for w in members)
+            code = code_of(members, q)
             expansion = find_expansion(code)
             assert expansion == naive_least_expansion(code), (n, q, members)
             found.append(expansion is not None)
@@ -290,7 +281,7 @@ class TestNonexpandable:
         for n in range(4, n_max + 1):
             for k in range(2, n - 1):
                 code = generate_direct(n, k, q)
-                mirror = code_of(Word(w.symbols[::-1], q) for w in code.sorted_words())
+                mirror = code_of((w[::-1] for w in code_symbols(code)), q)
                 for c in (code, mirror):
                     assert find_expansion(c) == naive_least_expansion(c), (n, k, q)
 
@@ -324,7 +315,20 @@ class TestFileFormat:
     def test_round_trip_against_word_path(self, code):
         text = format_code(code)
         assert parse_code(text) == code
-        assert text.splitlines()[1:] == [w.to_digits() for w in code.sorted_words()]
+        assert text.splitlines()[1:] == [digits_oracle(v, code.n, code.q) for v in code.values]
+        assert [w.symbols for w in code.sorted_words()] == code_symbols(code)
+
+    @pytest.mark.parametrize("q", [2, 3, 7, 12, 16, 35, 36])
+    def test_digits_match_oracle(self, q):
+        # two values build a table of 2q strings, 2,100 the full one of up
+        # to 4,096; n below, at and past a chunk's digits, and the edge values
+        import random
+
+        rng = random.Random(q)
+        for count in (2, 2100):
+            for n in (1, 2, 3, 11, 12, 13, 25, 70):
+                values = [0, q**n - 1, *(rng.randrange(q**n) for _ in range(count - 2))]
+                assert digits(values, n, q) == [digits_oracle(v, n, q) for v in values], (count, n)
 
     def test_sorted_output(self):
         code = code_of([W("0011101"), W("0010101")])
@@ -405,27 +409,10 @@ class TestFileFormat:
         assert parse_code("\n".join(lines) + "\n\n") == generate_direct(16, 5, 3)
 
     def test_either_case_parses(self):
-        assert parse_code("# xbifix code n=3 q=16\n0aF\n0Ab\n") == code_of(
-            [W("0af", 16), W("0ab", 16)]
-        )
+        assert parse_code("# xbifix code n=3 q=16\n0aF\n0Ab\n") == code_of([W("0af"), W("0ab")], 16)
 
     @pytest.mark.parametrize("header", ["n=4 q=0", "n=4 q=1", "n=4 q=37", "n=0 q=2"])
     def test_header_out_of_range(self, header):
         with pytest.raises(CodeFormatError) as err:
             parse_code(f"# xbifix code {header}\n0011\n")
         assert err.value.line == 1
-
-    def test_generate_format_parse_build_no_word(self, monkeypatch):
-        from xbifix.construction import generate_direct
-
-        def refuse(self, *args):
-            raise RuntimeError("a Word was built")
-
-        code = generate_direct(16, 5, 3)
-        text = format_code(code)
-        monkeypatch.setattr(Word, "__init__", refuse)
-        with pytest.raises(RuntimeError):
-            W("01")
-        assert generate_direct(16, 5, 3) == code
-        assert format_code(code) == text
-        assert parse_code(text) == code
