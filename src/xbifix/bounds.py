@@ -99,6 +99,8 @@ def asymptotic_probe(q: int, k_range, c: float | None = None) -> list[ProbeRow]:
         # the ceiling taken on the mpf itself: c * alpha**k can pass the float range
         x = c * find_alpha(k, q).alpha ** k
         n = int(x) + (int(x) < x)
+        if n < k + 2:  # the construction needs k + 2 <= n
+            raise ValueError(f"n(k={k}) = {n} at c={c} is below k+2 = {k + 2}")
         if n > PROBE_N_CAP:
             raise CapacityError(f"n(k={k}) has {n.bit_length()} bits, exceeds cap {PROBE_N_CAP}")
         lengths.append((k, n))

@@ -145,8 +145,8 @@ def fib_cmd(k, q, n):
 
 def alpha(k, q, bits, as_json):
     """Dominant root alpha(k, q) of the growth polynomial."""
-    import mpmath
     est = find_alpha(k, q, bits)
+    import mpmath
     digits = max(int(bits * math.log10(2)) - 2, 6)
     with mpmath.mp.workprec(bits + 16):
         value, lo, hi = (mpmath.nstr(x, digits) for x in (est.alpha, est.lo, est.hi))

@@ -10,8 +10,9 @@ q = 2 and n >= 3, either no word starts or no word ends with 01, and
 reverse-complement swaps the two, so the words 00...1 are enough.  (n = 1
 keeps all q words: it has no proper prefix.  The 00 step needs n >= 3: at
 n = 2 it would leave no word, while C(2,2) = 1.)  The graph joins mutually
-cross-bifix-free words in the disjoint union of these sets, s = 1 first,
-each in descending-degree order; a word may lie in two.
+cross-bifix-free words, as words.compatibility_rows gives them, in the
+disjoint union of these sets, s = 1 first, each in descending-degree
+order; a word may lie in two.
 
 The solver is a branch-and-bound over bitset candidate sets, seeded from
 n = 4 on with the constructed code, which lies in the s = 1 set.  Its upper
@@ -28,7 +29,7 @@ import time
 from typing import NamedTuple
 
 from .construction import best_size, generate_direct
-from .words import MAX_Q, CapacityError, Code, bifix_free, check_power_cap, verify_code
+from .words import MAX_Q, CapacityError, Code, bifix_free, check_power_cap, compatibility_rows, verify_code
 
 VERTEX_CAP = 2**16  # bifix-free words, and vertices built from them, build_graph takes at most
 
@@ -53,30 +54,12 @@ class CliqueResult(NamedTuple):
     optimal: bool
 
 
-def _rows(words: list[int], n: int, q: int) -> list[int]:
-    """Per word, the bitset of the words it is mutually cross-bifix-free
-    with, bit i standing for words[i], itself excluded."""
-    clash = [0] * len(words)
-    for length in range(1, n):
-        cut, mod = q ** (n - length), q**length
-        heads: dict[int, int] = {}  # by prefix value, the words that carry it
-        tails: dict[int, int] = {}  # the same by suffix value
-        for i, w in enumerate(words):
-            bit = 1 << i
-            heads[w // cut] = heads.get(w // cut, 0) | bit
-            tails[w % mod] = tails.get(w % mod, 0) | bit
-        for i, w in enumerate(words):
-            clash[i] |= tails.get(w // cut, 0) | heads.get(w % mod, 0)
-    full = (1 << len(words)) - 1
-    return [full ^ (c | 1 << i) for i, c in enumerate(clash)]
-
-
 def _component(words: list[int], n: int, q: int) -> tuple[list[int], list[int]]:
     """The words in search order, descending degree then ascending value,
     and per word its bitset of neighbours in that order."""
-    degrees = (-row.bit_count() for row in _rows(words, n, q))
+    degrees = (-row.bit_count() for row in compatibility_rows(words, n, q))
     words = [w for _, w in sorted(zip(degrees, words))]
-    return words, _rows(words, n, q)
+    return words, compatibility_rows(words, n, q)
 
 
 def build_graph(n: int, q: int) -> CompatGraph:

@@ -30,6 +30,7 @@ if TYPE_CHECKING:
     import mpmath
 
 DEFAULT_PRECISION_BITS = 128
+MAX_PRECISION_BITS = 2**18  # find_alpha(2, 2) takes about 4 s here, 55 s at 2**20
 _NEWTON_STEPS = 64  # find_alpha needs about log2(precision_bits) steps, 17 up to 2**16 bits
 
 
@@ -138,10 +139,10 @@ def find_alpha(k: int, q: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> 
     error there is about 2**-12 of |g|, so it certifies in one pass; if
     g(lo) < 0 < g(hi) fails in interval arithmetic, PrecisionError.
     """
-    from mpmath import iv, mp
     _check_kq(k, q)
-    if precision_bits < 53:
-        raise ValueError("precision_bits must be >= 53")
+    if not 53 <= precision_bits <= MAX_PRECISION_BITS:
+        raise ValueError(f"precision_bits must be in [53, {MAX_PRECISION_BITS}], got {precision_bits}")
+    from mpmath import iv, mp
     bits = precision_bits + 16
     with mp.workprec(bits):
         floor = mp.mpf(1) + mp.mpf(2) ** (-precision_bits)
@@ -215,14 +216,15 @@ def fib_closed_form(k: int, q: int, n: int) -> int:
     enough for F(n) <= q**n to its units (powers of two, so find_alpha's
     cache hits across n).  The rounding is certified: the interval must lie strictly
     within (m - 1/2, m + 1/2) for one integer m, or the bits double.
-    PrecisionError if that still fails at 64x the first pass's bits.
+    PrecisionError if that still fails at 64x the first pass's bits or
+    at MAX_PRECISION_BITS, whichever is less.
     """
     from mpmath import iv, mp
     _check_kq(k, q, n)
     bits = DEFAULT_PRECISION_BITS
     while bits < n * math.log2(q) + n.bit_length() + 32:
         bits *= 2
-    last = bits * 64
+    last = min(bits * 64, MAX_PRECISION_BITS)
     while bits <= last:
         old_prec = iv.prec
         try:
@@ -240,7 +242,7 @@ def fib_closed_form(k: int, q: int, n: int) -> int:
             iv.prec = old_prec
         bits *= 2
     raise PrecisionError(
-        f"could not certify rounding for k={k}, q={q}, n={n} up to {bits // 2} bits"
+        f"could not certify rounding for k={k}, q={q}, n={n} up to {last} bits"
     )
 
 

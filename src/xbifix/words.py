@@ -13,8 +13,12 @@ Symbols appear only where words are spelled out: `digits`, the one path
 from values to symbols, writes them as base-36 digit strings, and
 `parse_code` reads such strings back.  The proper
 prefix of length L is v // q**(n-L) and the proper suffix is v % q**L,
-so every affix test is one integer comparison.  Python ints are
-unbounded, so the predicates accept any (n, q) a code file can hold.
+so every affix test is one integer comparison.  Each predicate has one
+implementation here: `compatibility_rows` is the cross-pair relation,
+in bulk, for the clique graph and `cross_pair_ok`; `_affix_pools` derives
+one value set's affixes for verification and expansion; `bifix_free`
+filters words.  Python ints are unbounded, so the predicates accept
+any (n, q) a code file can hold.
 The module imports no numpy: the nonexpandability check walks prefixes
 in plain ints over flag arrays indexed by affix value.
 
@@ -94,13 +98,31 @@ class Word(NamedTuple):
     symbols: tuple[int, ...]  # leftmost first
 
 
+def compatibility_rows(words: list[int], n: int, q: int) -> list[int]:
+    """Per word, the bitset of the words it is mutually cross-bifix-free
+    with, bit i standing for words[i], itself excluded."""
+    clash = [0] * len(words)
+    for length in range(1, n):
+        cut, mod = q ** (n - length), q**length
+        heads: dict[int, int] = {}  # by prefix value, the words that carry it
+        tails: dict[int, int] = {}  # the same by suffix value
+        for i, w in enumerate(words):
+            bit = 1 << i
+            heads[w // cut] = heads.get(w // cut, 0) | bit
+            tails[w % mod] = tails.get(w % mod, 0) | bit
+        for i, w in enumerate(words):
+            clash[i] |= tails.get(w // cut, 0) | heads.get(w % mod, 0)
+    full = (1 << len(words)) - 1
+    return [full ^ (c | 1 << i) for i, c in enumerate(clash)]
+
+
 def cross_pair_ok(a: int, b: int, n: int, q: int) -> bool:
     """True iff no proper prefix of either length-n word, given by its
     value, is a proper suffix of the other.  cross_pair_ok(v, v, n, q)
     says whether v is bifix-free."""
     if not (0 <= a < q**n and 0 <= b < q**n):
         raise ValueError(f"values {a}, {b}: need both in [0, {q}**{n})")
-    return _shortest_shared([a], [b], n, q) is None and _shortest_shared([b], [a], n, q) is None
+    return compatibility_rows([a, b], n, q)[0] == 2
 
 
 def bifix_free(values: Iterable[int], n: int, q: int) -> list[int]:
@@ -112,10 +134,7 @@ def bifix_free(values: Iterable[int], n: int, q: int) -> list[int]:
 
 
 def _decode(text: str, q: int) -> int:
-    """The base-q value of ASCII digits below q, either case; int() alone
-    also takes signs, underscores, spaces, non-ASCII digits, 0b/0o/0x."""
-    if not text.isascii() or text.lower().strip(DIGITS[:q]):
-        raise ValueError(f"invalid digits for q={q}: {text!r}")
+    """The base-q value of digits parse_code has checked, _PIECE at a time."""
     value = 0
     for start in range(0, len(text), _PIECE):
         piece = text[start:start + _PIECE]
@@ -144,29 +163,25 @@ class Code(Frozen):
         return [Word(tuple(map(DIGITS.index, w))) for w in digits(self.values, self.n, self.q)]
 
 
-def _affix_pools(
-    heads: Iterable[int], tails: Iterable[int], n: int, q: int
-) -> Iterator[tuple[int, set[int], set[int]]]:
+def _affix_pools(values: Sequence[int], n: int, q: int) -> Iterator[tuple[int, set[int], set[int]]]:
     """(L, prefixes, suffixes) for L = n-1 down to 1: the length-L proper
-    prefixes of the values in `heads` and suffixes of those in `tails`.
-    The length-L pools are the length-(L+1) pools with one more symbol
-    dropped, longest first.  A consumer deletes its references to a pair
-    before the next is derived, so that no more than three pools are alive."""
-    prefixes, suffixes = set(heads), set(tails)
+    prefixes and suffixes of the values.  The length-L pools are the
+    length-(L+1) pools with one more symbol dropped, longest first.  A
+    consumer deletes its references to a pair before the next is derived,
+    so that no more than three pools are alive."""
+    prefixes = suffixes = values
     for length in range(n - 1, 0, -1):
         prefixes = set(map(q.__rfloordiv__, prefixes))
         suffixes = set(map((q**length).__rmod__, suffixes))
         yield length, prefixes, suffixes
 
 
-def _shortest_shared(
-    heads: Iterable[int], tails: Iterable[int], n: int, q: int
-) -> Optional[tuple[int, int]]:
-    """(L, s) for the shortest L at which a proper prefix of a value in
-    `heads` equals a proper suffix of one in `tails`, s the least such
-    segment; None if there is none."""
+def _shortest_shared(values: Sequence[int], n: int, q: int) -> Optional[tuple[int, int]]:
+    """(L, s) for the shortest L at which a proper prefix of a value
+    equals a proper suffix of one, s the least such segment; None if
+    there is none."""
     found = None
-    for length, prefixes, suffixes in _affix_pools(heads, tails, n, q):
+    for length, prefixes, suffixes in _affix_pools(values, n, q):
         if not prefixes.isdisjoint(suffixes):
             found = length, min(prefixes & suffixes)
         del prefixes, suffixes
@@ -177,7 +192,7 @@ def verify_code(code: Code) -> bool:
     """True iff the code is cross-bifix-free: no proper prefix of any
     member is a proper suffix of any member, itself included.  Pooling
     the affixes over the whole code is exactly that all-pairs check."""
-    return _shortest_shared(code.values, code.values, code.n, code.q) is None
+    return _shortest_shared(code.values, code.n, code.q) is None
 
 
 def find_violation(code: Code) -> Optional[tuple[int, int, int]]:
@@ -186,7 +201,7 @@ def find_violation(code: Code) -> Optional[tuple[int, int, int]]:
     segment is the shortest and, among those, the least; its owners are
     the least values that carry it."""
     n, q, values = code.n, code.q, code.values
-    found = _shortest_shared(values, values, n, q)
+    found = _shortest_shared(values, n, q)
     if found is None:
         return None
     length, segment = found
@@ -203,7 +218,7 @@ def find_expansion(code: Code) -> Optional[int]:
     n, q, values = code.n, code.q, code.values
     check_power_cap(q, n, NONEXPANDABLE_CAP)
     affixes = [bytearray(1)] * n  # by affix value: 1 a member's prefix, 2 a suffix
-    for length, heads, tails in _affix_pools(values, values, n, q):
+    for length, heads, tails in _affix_pools(values, n, q):
         if not heads.isdisjoint(tails):
             raise ValueError("code is not cross-bifix-free")
         flags = affixes[length] = bytearray(q**length)
@@ -272,14 +287,15 @@ def parse_code(text: str) -> Code:
     # int() would guess the base for q=0 and refuse q=1 or q > 36
     if not (2 <= q <= MAX_Q and n >= 1):
         raise CodeFormatError(f"bad header: need 2 <= q <= {MAX_Q} and n >= 1", line=1)
+    alphabet = (DIGITS[:q] + DIGITS[:q].upper()).encode()
+    def in_alphabet(text: str) -> bool:  # int() also takes signs, _, spaces, non-ASCII digits, 0b/0o/0x
+        return text.isascii() and not text.encode().translate(None, alphabet)
+
     words = list(filter(None, lines[1:]))
-    if not (set(map(len, words)) <= {n} and (joined := "".join(words)).isascii()
-            and not joined.encode().translate(None, (DIGITS[:q] + DIGITS[:q].upper()).encode())):
+    if not (set(map(len, words)) <= {n} and in_alphabet("".join(words))):
         for i, line in enumerate(lines[1:], start=2):
-            try:
-                _decode(line, q)
-            except ValueError as exc:
-                raise CodeFormatError(str(exc), line=i) from None
+            if not in_alphabet(line):
+                raise CodeFormatError(f"invalid digits for q={q}: {line!r}", line=i)
             if line and len(line) != n:
                 raise CodeFormatError(f"word length {len(line)} != n={n}", line=i)
     values = list(map(int, words, repeat(q))) if n <= _PIECE else [_decode(w, q) for w in words]

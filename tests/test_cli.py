@@ -474,17 +474,13 @@ class TestSimVerify:
         shared, pooled = words._shortest_shared, []
         pools, walked = words._affix_pools, []
 
-        def counted(heads, tails, n, q):
-            heads = list(heads)
-            if len(heads) > 1:  # the whole code's pools, not one word's bifix check
-                pooled.append(len(heads))
-            return shared(heads, tails, n, q)
+        def counted(values, n, q):
+            pooled.append(len(values))
+            return shared(values, n, q)
 
-        def counted_walk(heads, tails, n, q):
-            heads = list(heads)
-            if len(heads) > 1:
-                walked.append(len(heads))
-            return pools(heads, tails, n, q)
+        def counted_walk(values, n, q):
+            walked.append(len(values))
+            return pools(values, n, q)
 
         monkeypatch.setattr(words, "_shortest_shared", counted)
         monkeypatch.setattr(words, "_affix_pools", counted_walk)
@@ -518,6 +514,7 @@ class TestErrors:
             (["probe", "--k-max", "5", "--c", "nan"], 2),
             (["probe", "--q", "1", "--k-max", "5"], 2),
             (["probe", "--k-max", "5", "--c", "1e300"], 3),
+            (["probe", "--k-max", "5", "--c", "1e-300"], 2),  # n(4) = 1, too short for k = 4
             (["probe", "--k-min", "1100", "--k-max", "1100"], 3),  # n(k) past the float range
             (["probe", "--k-max", "200000"], 3),  # refused at k = 17, before rooting k = 18
             (["clique", "--n", "6", "--budget", "0"], 2),
@@ -543,6 +540,7 @@ class TestErrors:
             (["clique", "--n", "20", "--long", "--witness-out", "<witness>"], 3),
             (["clique", "--n", "5", "--budget", "0", "--witness-out", "<witness>"], 2),
             (["sim", "--code", "<code>", "--trials", "2000000000"], 3),  # past sim.STATE_CAP
+            (["alpha", "--k", "2", "--q", "2", "--bits", "100000000000000000000"], 2),  # past MAX_PRECISION_BITS
         ],
         ids=lambda a: " ".join(a) if isinstance(a, list) else f"exit-{a}",
     )
@@ -565,6 +563,8 @@ class TestErrors:
             assert result.stderr == "usage: alphabet size must be in [2, 36], got 40\n"
         if "1e300" in args:  # the refused length is named, not printed
             assert result.stderr == "capacity: n(k=4) has 1001 bits, exceeds cap 200000\n"
+        if "1e-300" in args:
+            assert result.stderr == "usage: n(k=4) = 1 at c=1e-300 is below k+2 = 6\n"
         if "200000" in args:
             assert result.stderr == "capacity: n(k=17) has 18 bits, exceeds cap 200000\n"
         if "2000000000" in args:  # 22 bytes a trial: times, alive and 6 carried symbols

@@ -428,6 +428,22 @@ class TestClosedForm:
         assert fib_closed_form(3, 2, 200) == fib(3, 2, 200)
         assert calls == [256, 512]
 
+    def test_escalation_stops_at_max_precision(self, monkeypatch):
+        # from half the bound the bits double once, not 64x over; a first
+        # pass past the bound is refused before any root is found
+        top, calls = fibonacci.MAX_PRECISION_BITS, []
+
+        def coarse(k, q, bits):
+            calls.append(bits)
+            return find_alpha(k, q, 53)
+
+        monkeypatch.setattr(fibonacci, "find_alpha", coarse)
+        with pytest.raises(PrecisionError, match=f"up to {top} bits"):
+            fib_closed_form(2, 2, top // 2 - 64)
+        with pytest.raises(PrecisionError):
+            fib_closed_form(2, 2, top)
+        assert calls == [top // 2, top]
+
 
 class TestRoots:
     @pytest.mark.parametrize("k,q", [(2, 2), (4, 2), (3, 5)])

@@ -137,10 +137,10 @@ class TestCrossPair:
         assert cross_pair_ok(v, v, len(symbols), q) == filter_keeps(symbols, q)
 
     def test_oracle_equivalence_exhaustive(self):
-        for n in (2, 3, 4, 5):
-            pool = list(enumerate(all_words(n, 2)))
+        for q, n in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]:
+            pool = list(enumerate(all_words(n, q)))
             for (a, u), (b, v) in itertools.combinations_with_replacement(pool, 2):
-                assert cross_pair_ok(a, b, n, 2) == naive_cross_pair_ok(u, v)
+                assert cross_pair_ok(a, b, n, q) == naive_cross_pair_ok(u, v)
 
 
 class TestVerifyCode:
