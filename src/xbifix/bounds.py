@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .fibonacci import find_alpha
 from .construction import best_size, size_formula
-from .words import CapacityError
+from .words import CapacityError, check_q
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -29,8 +29,7 @@ def upper_bound(n: int, q: int) -> Fraction:
     """q**n / (2n - 1) as an exact rational; never pre-floored."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
+    check_q(q)
     from fractions import Fraction
     return Fraction(q**n, 2 * n - 1)
 
@@ -88,8 +87,7 @@ def asymptotic_probe(q: int, k_range, c: float | None = None) -> list[ProbeRow]:
     approaches (q-1)/(q*e) from below when c = q/(q-1), the maximizing
     choice.
     """
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
+    check_q(q)
     if c is None:
         c = q / (q - 1)
     if not (math.isfinite(c) and c > 0):

@@ -36,6 +36,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 DESK_SCALE_N = 14  # an exact clique search runs unasked on q**n <= 2**DESK_SCALE_N words
+TABLE_N_CAP = 1_000  # longest --n-max table tabulates: `table --n-max 1000` takes 3-5 s
 
 
 @contextmanager
@@ -160,6 +161,8 @@ def table(q, n_max, as_json, markdown, clique_upto):
     lengths = range(3 if q == 2 else 4, n_max + 1)  # n = 3 only for q = 2
     if not lengths:
         raise ValueError(f"--n-max {n_max} is below the first tabulated length {lengths.start}")
+    if n_max > TABLE_N_CAP:
+        raise CapacityError(f"--n-max has {n_max.bit_length()} bits, exceeds cap {TABLE_N_CAP}")
     if clique_upto:
         _desk_scale(min(clique_upto, n_max), q, "run `xbifix clique --long` for longer lengths")
     rows = []

@@ -29,7 +29,7 @@ import time
 from typing import NamedTuple
 
 from .construction import best_size, generate_direct
-from .words import MAX_Q, CapacityError, Code, bifix_free, check_power_cap, compatibility_rows, verify_code
+from .words import CapacityError, Code, bifix_free, check_alphabet, check_power_cap, compatibility_rows, verify_code
 
 VERTEX_CAP = 2**16  # bifix-free words, and vertices built from them, build_graph takes at most
 
@@ -65,8 +65,9 @@ def _component(words: list[int], n: int, q: int) -> tuple[list[int], list[int]]:
 def build_graph(n: int, q: int) -> CompatGraph:
     """The split graph of the module docstring over the length-n words of
     Z_q, as base-q values (see xbifix.words), with no self-loops stored."""
-    if n < 1 or not 2 <= q <= MAX_Q:
-        raise ValueError(f"need n >= 1 and 2 <= q <= {MAX_Q}, got n={n}, q={q}")
+    check_alphabet(q)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     check_power_cap(q, n, VERTEX_CAP * 8)
     words = bifix_free(range(q**n), n, q)
     parts = [words]

@@ -12,14 +12,14 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .fibonacci import fib
-from .words import Code, check_alphabet, check_power_cap
+from .words import CapacityError, Code, check_alphabet, check_power_cap, check_q
 
 ENUM_CAP = 2**20  # interior windows generate_direct enumerates at most
+BEST_N_CAP = 20_000  # longest n best_size counts: `best --n 20000` takes 2-3.5 s
 
 
 def validate_params(n: int, k: int, q: int) -> None:
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
+    check_q(q)
     if not 2 <= k <= n - 2:
         raise ValueError(f"k={k} outside [2, n-2] = [2, {n - 2}] for n={n}")
 
@@ -64,6 +64,8 @@ def best_size(n: int, q: int) -> SizeRecord:
         if q != 2:
             raise ValueError("n=3 is only tabulated for the binary alphabet")
         return SizeRecord(n=3, q=2, best_k=None, size=1, per_k={})
+    if n > BEST_N_CAP:
+        raise CapacityError(f"n has {n.bit_length()} bits, exceeds cap {BEST_N_CAP}")
     per_k = {k: size_formula(n, k, q) for k in range(2, n - 1)}
     best_k = max(per_k, key=per_k.get)  # the first maximum: smallest k on ties
     return SizeRecord(n=n, q=q, best_k=best_k, size=per_k[best_k], per_k=per_k)

@@ -26,10 +26,13 @@ from functools import lru_cache
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
+from .words import CapacityError, check_q
+
 if TYPE_CHECKING:
     import mpmath
 
 DEFAULT_PRECISION_BITS = 128
+FIB_BITS_CAP = 2**20  # most bits, n * log2(q), fib's answer may have: `fib --k 2 --q 2 --n 1048576` takes 1.1 s
 MAX_PRECISION_BITS = 2**18  # find_alpha(2, 2) takes about 4 s here, 55 s at 2**20
 _NEWTON_STEPS = 64  # find_alpha needs about log2(precision_bits) steps, 17 up to 2**16 bits
 
@@ -41,8 +44,7 @@ class PrecisionError(Exception):
 def _check_kq(k: int, q: int, n: int = 0) -> None:
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
+    check_q(q)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
 
@@ -53,8 +55,11 @@ def fib(k: int, q: int, n: int) -> int:
     q = 2, 3, 5 and k = 2..40: the zero-run sum in O(n/k) terms below it,
     doubling in O(k**2 log n) products, plus k at the last level, from
     there on.  The second term follows doubling's products, which grow as
-    long as F(n)."""
+    long as F(n).  CapacityError for an n whose F(n) <= q**n could pass
+    FIB_BITS_CAP bits, n alone first, so no float sees a huge n."""
     _check_kq(k, q, n)
+    if n > FIB_BITS_CAP or n * math.log2(q) > FIB_BITS_CAP:
+        raise CapacityError(f"F(n) at q={q} for n of {n.bit_length()} bits exceeds cap {FIB_BITS_CAP} bits")
     # the exact term first: past k = 10**77, k**4 overflows a float
     if n < 16 * k * (k + 1) or n < k**4 * math.log2(q) / 18:
         return _fib_by_zero_runs(k, q, n)
@@ -167,8 +172,7 @@ def kq_threshold(q: int) -> int:
     """Smallest k >= 1 with (1 - 1/q**k)**k > 1 - 1/q, in exact rational
     arithmetic.  At and above this k the beta bracket of beta_bracket()
     is guaranteed to contain a sign change of g."""
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
+    check_q(q)
     from fractions import Fraction
     rhs = 1 - Fraction(1, q)
     k = 1

@@ -53,19 +53,14 @@ def check_power_cap(q: int, n: int, cap: int, name: str = "q**n") -> None:
         raise CapacityError(f"{name} = {q}**{n} exceeds cap {cap}")
 
 
+def check_q(q: int) -> None:
+    if q < 2:
+        raise ValueError(f"q must be >= 2, got {q}")
+
+
 def check_alphabet(q: int) -> None:
     if not 2 <= q <= MAX_Q:
         raise ValueError(f"alphabet size must be in [2, {MAX_Q}], got {q}")
-
-
-class CodeFormatError(ValueError):
-    """Malformed code file; carries the offending line number."""
-
-    def __init__(self, message: str, line: Optional[int] = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class Frozen:
@@ -151,9 +146,10 @@ class Code(Frozen):
     q: int
 
     def __init__(self, values: tuple[int, ...], n: int, q: int):
-        if not (values and n >= 1 and 2 <= q <= MAX_Q and 0 <= values[0] and values[-1] < q**n
+        check_alphabet(q)
+        if not (values and n >= 1 and 0 <= values[0] and values[-1] < q**n
                 and all(a < b for a, b in zip(values, values[1:]))):
-            raise ValueError(f"n={n}, q={q}: need 1+ ascending values in [0, q**n), 2 <= q <= {MAX_Q}")
+            raise ValueError(f"n={n}, q={q}: need 1+ ascending values in [0, q**n)")
         self._freeze(values, n, q)
 
     def __len__(self) -> int:
@@ -176,32 +172,24 @@ def _affix_pools(values: Sequence[int], n: int, q: int) -> Iterator[tuple[int, s
         yield length, prefixes, suffixes
 
 
-def _shortest_shared(values: Sequence[int], n: int, q: int) -> Optional[tuple[int, int]]:
-    """(L, s) for the shortest L at which a proper prefix of a value
-    equals a proper suffix of one, s the least such segment; None if
-    there is none."""
+def verify_code(code: Code) -> bool:
+    """True iff the code is cross-bifix-free: no proper prefix of any
+    member is a proper suffix of any member, itself included."""
+    return find_violation(code) is None
+
+
+def find_violation(code: Code) -> Optional[tuple[int, int, int]]:
+    """A witness (prefix owner, suffix owner, segment length) that breaks
+    the cross-bifix-free property, or None when the code is valid.
+    Pooling the affixes over the whole code is exactly the all-pairs
+    check.  The segment is the shortest and, among those, the least; its
+    owners are the least values that carry it."""
+    n, q, values = code.n, code.q, code.values
     found = None
     for length, prefixes, suffixes in _affix_pools(values, n, q):
         if not prefixes.isdisjoint(suffixes):
             found = length, min(prefixes & suffixes)
         del prefixes, suffixes
-    return found
-
-
-def verify_code(code: Code) -> bool:
-    """True iff the code is cross-bifix-free: no proper prefix of any
-    member is a proper suffix of any member, itself included.  Pooling
-    the affixes over the whole code is exactly that all-pairs check."""
-    return _shortest_shared(code.values, code.n, code.q) is None
-
-
-def find_violation(code: Code) -> Optional[tuple[int, int, int]]:
-    """A witness (prefix owner, suffix owner, segment length) that breaks
-    the cross-bifix-free property, or None when the code is valid.  The
-    segment is the shortest and, among those, the least; its owners are
-    the least values that carry it."""
-    n, q, values = code.n, code.q, code.values
-    found = _shortest_shared(values, n, q)
     if found is None:
         return None
     length, segment = found
@@ -276,17 +264,17 @@ def parse_code(text: str) -> Code:
     file that fails is walked line by line, to name its first bad line."""
     lines = text.split("\n")
     if not lines[0].startswith("# xbifix code "):
-        raise CodeFormatError("missing '# xbifix code n=<n> q=<q>' header", line=1)
+        raise ValueError("line 1: missing '# xbifix code n=<n> q=<q>' header")
     fields = lines[0][len("# xbifix code "):].split()
     try:
         header = dict(item.split("=", 1) for item in fields)
         n = int(header["n"])
         q = int(header["q"])
+        check_alphabet(q)  # int() would guess the base for q=0 and refuse q=1 or q > 36
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
     except (ValueError, KeyError) as exc:
-        raise CodeFormatError(f"bad header: {exc}", line=1) from None
-    # int() would guess the base for q=0 and refuse q=1 or q > 36
-    if not (2 <= q <= MAX_Q and n >= 1):
-        raise CodeFormatError(f"bad header: need 2 <= q <= {MAX_Q} and n >= 1", line=1)
+        raise ValueError(f"line 1: bad header: {exc}") from None
     alphabet = (DIGITS[:q] + DIGITS[:q].upper()).encode()
     def in_alphabet(text: str) -> bool:  # int() also takes signs, _, spaces, non-ASCII digits, 0b/0o/0x
         return text.isascii() and not text.encode().translate(None, alphabet)
@@ -295,16 +283,16 @@ def parse_code(text: str) -> Code:
     if not (set(map(len, words)) <= {n} and in_alphabet("".join(words))):
         for i, line in enumerate(lines[1:], start=2):
             if not in_alphabet(line):
-                raise CodeFormatError(f"invalid digits for q={q}: {line!r}", line=i)
+                raise ValueError(f"line {i}: invalid digits for q={q}: {line!r}")
             if line and len(line) != n:
-                raise CodeFormatError(f"word length {len(line)} != n={n}", line=i)
+                raise ValueError(f"line {i}: word length {len(line)} != n={n}")
     values = list(map(int, words, repeat(q))) if n <= _PIECE else [_decode(w, q) for w in words]
     del lines, words  # not held through the sort below
     if not values:
-        raise CodeFormatError("no words in file")
+        raise ValueError("no words in file")
     ascending = sorted(set(values))
     if len(ascending) != len(values):
-        raise CodeFormatError("duplicate words in file")
+        raise ValueError("duplicate words in file")
     return Code(tuple(ascending), n, q)
 
 

@@ -234,6 +234,20 @@ class TestTable:
         assert result.stdout == ""
         assert result.stderr == "usage: --n-max 3 is below the first tabulated length 4\n"
 
+    def test_length_cap_boundary(self, runner, monkeypatch):
+        # --n-max at the cap passes the check and one more is refused
+        # before the first row; the rows at the cap are stubbed, not counted
+        import xbifix.cli as cli
+        from xbifix.bounds import BoundsReport
+
+        monkeypatch.setattr(cli, "bounds_report", lambda n, q: BoundsReport(n, 2, n, None))
+        result = runner.invoke(main, ["table", "--n-max", str(cli.TABLE_N_CAP)])
+        assert result.exit_code == 0
+        assert len(result.stdout.splitlines()) == cli.TABLE_N_CAP - 1  # header, n = 3 .. cap
+        result = runner.invoke(main, ["table", "--n-max", str(cli.TABLE_N_CAP + 1)])
+        assert (result.exit_code, result.stdout) == (3, "")
+        assert result.stderr == f"capacity: --n-max has 10 bits, exceeds cap {cli.TABLE_N_CAP}\n"
+
     def test_clique_upto_beyond_desk_scale(self, runner):
         result = runner.invoke(main, ["table", "--n-max", "15", "--clique-upto", "15"])
         assert result.exit_code == 2
@@ -469,20 +483,22 @@ class TestSimVerify:
         # the expansion walk derives every length's affix pools itself;
         # find_violation derives them again only for a code that the walk
         # refuses, as invalid or as too large
+        import xbifix.cli as cli
         import xbifix.words as words
 
-        shared, pooled = words._shortest_shared, []
+        violation, pooled = words.find_violation, []
         pools, walked = words._affix_pools, []
 
-        def counted(values, n, q):
-            pooled.append(len(values))
-            return shared(values, n, q)
+        def counted(code):
+            pooled.append(len(code))
+            return violation(code)
 
         def counted_walk(values, n, q):
             walked.append(len(values))
             return pools(values, n, q)
 
-        monkeypatch.setattr(words, "_shortest_shared", counted)
+        for module in (cli, words):  # cli holds its own reference to find_violation
+            monkeypatch.setattr(module, "find_violation", counted)
         monkeypatch.setattr(words, "_affix_pools", counted_walk)
         path = tmp_path / "c.txt"
         path.write_text(text)
@@ -500,10 +516,28 @@ class TestSimVerify:
         )
 
 
+# Lengths whose answers are never computed: each is refused at once with
+# this stderr line.  Without the refusal each ran on with no output, so
+# these rows run in a fresh process under a timeout.
+_UNBOUNDED = {
+    "fib --k 2 --q 2 --n " + str(10**30): "capacity: F(n) at q=2 for n of 100 bits exceeds cap 1048576 bits\n",
+    "best --n " + str(10**20): "capacity: n has 67 bits, exceeds cap 20000\n",
+    "table --n-max " + str(10**6): "capacity: --n-max has 20 bits, exceeds cap 1000\n",
+}
+
+
+def _invoke_fresh(args, timeout=5):
+    """Like _Runner.invoke, in a new interpreter that must exit in time."""
+    proc = _fresh(["-c", "import sys; from xbifix.cli import main; main(sys.argv[1:])", *args], timeout)
+    return types.SimpleNamespace(exit_code=proc.returncode, stdout=proc.stdout, stderr=proc.stderr,
+                                 output=proc.stdout + proc.stderr)
+
+
 class TestErrors:
     @pytest.mark.parametrize(
         "args, code",
         [
+            *((line.split(), 3) for line in _UNBOUNDED),
             (["table", "--q", "1"], 2),
             (["probe", "--k-min", "1", "--k-max", "3"], 2),
             (["probe", "--k-max", "3"], 2),  # below the default --k-min 4: no row
@@ -551,15 +585,19 @@ class TestErrors:
             args = [str(path) if a == "<code>" else a for a in args]
         witness = tmp_path / "w.txt"
         args = [str(witness) if a == "<witness>" else a for a in args]
-        result = runner.invoke(main, args)
+        if " ".join(args) in _UNBOUNDED:
+            result = _invoke_fresh(args)
+            assert result.stderr == _UNBOUNDED[" ".join(args)]
+        else:
+            result = runner.invoke(main, args)
+            assert isinstance(result.exception, SystemExit)
         assert not witness.exists()  # a refused run leaves no file for verify to reject
         assert result.exit_code == code
-        assert isinstance(result.exception, SystemExit)
         assert len(result.stderr.splitlines()) == 1
         assert len(result.stderr) < 200
         assert result.stderr.startswith("usage: " if code == 2 else "capacity: ")
         assert "Traceback" not in result.output
-        if "40" in args and "--long" not in args:
+        if "40" in args:
             assert result.stderr == "usage: alphabet size must be in [2, 36], got 40\n"
         if "1e300" in args:  # the refused length is named, not printed
             assert result.stderr == "capacity: n(k=4) has 1001 bits, exceeds cap 200000\n"
@@ -599,16 +637,21 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("xbifix."))))
 """
 
 
-def _fresh_run(*args, script=_LOADED):
-    """(stdout lines before the report, the report) of one command in a
-    new interpreter that imports the package from the source tree."""
+def _fresh(argv, timeout):
+    """Python run on argv in a new interpreter that imports the package
+    from the source tree."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     pythonpath = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]).rstrip(os.pathsep)
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *args],
-        capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, timeout=timeout,
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
+
+
+def _fresh_run(*args, script=_LOADED):
+    """(stdout lines before the report, the report) of one command in a
+    new interpreter."""
+    proc = _fresh(["-c", script, *args], 120)
     assert proc.returncode == 0, proc.stderr
     *output, loaded = proc.stdout.splitlines()
     return output, json.loads(loaded)

@@ -1,6 +1,7 @@
 import pytest
 
-from xbifix.construction import best_size, generate_direct, size_formula
+from xbifix import construction
+from xbifix.construction import BEST_N_CAP, best_size, generate_direct, size_formula
 from xbifix.words import CapacityError, Code, find_expansion, format_code, verify_code
 
 from oracles import code_symbols, digits_oracle, generate_recursive, naive_fib_list
@@ -168,3 +169,11 @@ class TestBestSize:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             best_size(2, 2)
+
+    def test_length_cap_boundary(self, monkeypatch):
+        # the cap passes the check and one more is refused; the sizes at
+        # the cap are stubbed, not counted
+        monkeypatch.setattr(construction, "size_formula", lambda n, k, q: k)
+        assert best_size(BEST_N_CAP, 2).size == BEST_N_CAP - 2
+        with pytest.raises(CapacityError, match=f"exceeds cap {BEST_N_CAP}"):
+            best_size(BEST_N_CAP + 1, 2)

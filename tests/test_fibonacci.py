@@ -10,6 +10,7 @@ from mpmath import mp
 from xbifix import fibonacci
 from xbifix.fibonacci import (
     DEFAULT_PRECISION_BITS,
+    FIB_BITS_CAP,
     PrecisionError,
     beta_bracket,
     fib,
@@ -19,6 +20,8 @@ from xbifix.fibonacci import (
     kq_threshold,
     other_roots_inside_unit_disk,
 )
+
+from xbifix.words import CapacityError
 
 from oracles import f_poly, naive_fib, naive_fib_list, naive_fib_mod, numeric_roots_inside_unit_disk
 
@@ -68,6 +71,18 @@ class TestRecurrence:
             fib(2, 1, 0)
         with pytest.raises(ValueError):
             fib(2, 2, -1)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_bit_cap_boundary(self, monkeypatch, q):
+        # the longest n whose F(n) <= q**n fits in FIB_BITS_CAP bits passes
+        # the check; one more is refused.  Both paths are stubbed: the
+        # answer at the cap is not computed
+        for path in ("_fib_by_zero_runs", "_fib_by_doubling"):
+            monkeypatch.setattr(fibonacci, path, lambda k, q, n: n)
+        longest = math.floor(FIB_BITS_CAP / math.log2(q))
+        assert fib(2, q, longest) == longest
+        with pytest.raises(CapacityError, match=f"n of {(longest + 1).bit_length()} bits exceeds cap"):
+            fib(2, q, longest + 1)
 
     @pytest.mark.parametrize("cases", [LARGE_N, LARGE_N[::-1]], ids=["forward", "reverse"])
     def test_large_n_matches_definition(self, cases):

@@ -1,11 +1,13 @@
 """Every public function, class, method and field in src/xbifix is
 reached: named by another module of the package, by its own module
-outside its own definition (a field outside its own class), or by the
-benchmark in perfbench/.  A command is reached through the command
-table that builds the parser in cli.py.  Re-exports in __init__ do not
-count, and neither do the tests: a name only the tests call is a second
-version of something the program already does, and a field only the
-tests read is state the program carries for nothing."""
+outside its own definition (a field outside its own class, an attribute
+a method sets on self outside the assignment), or by the benchmark in
+perfbench/.  Only a read counts, not an assignment.  A command is
+reached through the command table that builds the parser in cli.py.
+Re-exports in __init__ do not count, and neither do the tests: a name
+only the tests call is a second version of something the program
+already does, and a field only the tests read is state the program
+carries for nothing."""
 
 import ast
 from collections import Counter
@@ -27,14 +29,29 @@ def _reads(tree, methods):
     return Counter(
         node.id if isinstance(node, ast.Name) else node.attr
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) or isinstance(node, ast.Name) and not methods
+        if (isinstance(node, ast.Attribute) or isinstance(node, ast.Name) and not methods)
+        and isinstance(node.ctx, ast.Load)
     )
+
+
+def _self_attributes(cls):
+    """(name, statement) of each public attribute cls's methods assign on
+    self, the assignment as its node."""
+    for stmt in ast.walk(cls):
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            for target in stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]:
+                for node in ast.walk(target):
+                    if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                            and isinstance(node.value, ast.Name) and node.value.id == "self"
+                            and not node.attr.startswith("_")):
+                        yield node.attr, stmt
 
 
 def _definitions(tree):
     """(name, node) of each public top-level function and class, and
-    Class.member for each public method and field of a public class.  A
-    field's node is its class: reads inside the class do not count."""
+    Class.member for each public method, field and attribute set on self
+    of a public class.  A field's node is its class: reads inside the
+    class do not count."""
     for node in tree.body:
         if isinstance(node, DEFS) and not node.name.startswith("_"):
             yield node.name, node
@@ -44,6 +61,8 @@ def _definitions(tree):
                         yield f"{node.name}.{item.name}", item
                     elif isinstance(item, ast.AnnAssign) and not item.target.id.startswith("_"):
                         yield f"{node.name}.{item.target.id}", node
+                for attribute, stmt in _self_attributes(node):
+                    yield f"{node.name}.{attribute}", stmt
 
 
 def _benchmark_reads():
@@ -69,7 +88,7 @@ def _benchmark_reads():
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
             functions.add(node.attr)
             attributes.add(node.attr)
-        elif isinstance(node, ast.Attribute) and node.attr not in own:
+        elif isinstance(node, ast.Attribute) and node.attr not in own and isinstance(node.ctx, ast.Load):
             attributes.add(node.attr)
     return functions, attributes
 
