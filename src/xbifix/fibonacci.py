@@ -15,8 +15,8 @@ x**n mod f(x) gives F(n) from the first 2k values in O(k**2 log n)
 products, plus k at the last level, which long lengths use.  The
 auxiliary polynomial g(x) = (x-1)*f(x) = x**k * (x - q) + (q-1) is
 negative on (1, alpha) and positive on (alpha, infinity), so the sign of
-g, evaluated in interval arithmetic, certifies a bracket around alpha;
-its compact form is also the cheap target for Newton's method.
+g, bounded in integers, certifies a bracket around alpha; its compact
+form is also the cheap target for Newton's method.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ if TYPE_CHECKING:
 
 DEFAULT_PRECISION_BITS = 128
 FIB_BITS_CAP = 2**20  # most bits, n * log2(q), fib's answer may have: `fib --k 2 --q 2 --n 1048576` takes 1.1 s
-MAX_PRECISION_BITS = 2**18  # find_alpha(2, 2) takes about 4 s here, 55 s at 2**20
-_NEWTON_STEPS = 64  # find_alpha needs about log2(precision_bits) steps, 17 up to 2**16 bits
+MAX_PRECISION_BITS = 2**18  # find_alpha(2, 2) takes about 0.5 s here
+_NEWTON_STEPS = 64  # _bracket takes about log2(bits) steps, 20 at 2**18 bits
 
 
 class PrecisionError(Exception):
@@ -132,46 +132,64 @@ class RootEstimate(NamedTuple):
     hi: mpmath.mpf
 
 
-@lru_cache(maxsize=4096)
-def find_alpha(k: int, q: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootEstimate:
-    """Newton's method for the unique root of g in (1, q), with a bracket
-    certified in interval arithmetic.
+def _pow(x: int, e: int, p: int, up: bool = False, cap: float = math.inf) -> int:
+    """(x / 2**p)**e at scale 2**p, e >= 1, by square-and-multiply with every
+    product floored (ceiled if up): for x >= 0 a lower (upper) bound.  For
+    x >= 2**p the partial products only grow, so one past cap is returned."""
+    sign, r = -1 if up else 1, x  # the floor of -v is minus the ceiling of v
+    for bit in bin(e)[3:]:
+        if r > cap:
+            break
+        r = sign * (sign * r * r >> p)
+        if bit == "1":
+            r = sign * (sign * r * x >> p)
+    return r
 
-    g has its minimum at kq/(k+1) < alpha and is convex beyond
-    q(k-1)/(k+1), so the iterates from q fall monotonically to alpha,
-    quadratically.  The bracket is the last iterate +- q * 2**-precision_bits
-    / 16 within [1 + 2**-precision_bits, q].  At 16 guard bits g's interval
-    error there is about 2**-12 of |g|, so it certifies in one pass; if
-    g(lo) < 0 < g(hi) fails in interval arithmetic, PrecisionError.
-    """
+
+@lru_cache(maxsize=4096)
+def _bracket(k: int, q: int, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, p) with lo / 2**p < alpha < hi / 2**p, certified in integers
+    at scale 2**p, p = bits + 16.  Newton's method runs from q: g has its
+    minimum at kq/(k+1) < alpha and is convex beyond q(k-1)/(k+1), so the
+    iterates fall monotonically to alpha, quadratically.  g and g' are
+    divided by x**(k-1), so every integer stays near p bits at any k.  The
+    scale s starts at 64 bits and grows to 2s - 32 once a step is below
+    about its square root: one step per scale.  [lo, hi] is the last iterate
+    +- q * 2**-bits / 16 within [1 + 2**-bits, q], where x - q <= 0: a floored
+    power bounds g above, a ceiled one below.  PrecisionError unless g(lo) <
+    0 < g(hi) and lo < hi."""
     _check_kq(k, q)
-    if not 53 <= precision_bits <= MAX_PRECISION_BITS:
-        raise ValueError(f"precision_bits must be in [53, {MAX_PRECISION_BITS}], got {precision_bits}")
-    from mpmath import iv, mp
-    bits = precision_bits + 16
-    with mp.workprec(bits):
-        floor = mp.mpf(1) + mp.mpf(2) ** (-precision_bits)
-        width = mp.mpf(2) ** (-precision_bits) * q
-        x = mp.mpf(q)
-        for _ in range(_NEWTON_STEPS):
-            step = g_poly(k, q, x) / (x ** (k - 1) * ((k + 1) * x - k * q))
-            x -= step
-            if abs(step) < width:
-                break
-        lo, hi = max(x - width / 16, floor), min(x + width / 16, mp.mpf(q))
-        old_prec, iv.prec = iv.prec, bits
-        try:
-            if g_poly(k, q, iv.mpf(lo)).b < 0 < g_poly(k, q, iv.mpf(hi)).a:
-                return RootEstimate(alpha=(lo + hi) / 2, lo=lo, hi=hi)
-        finally:
-            iv.prec = old_prec
-    raise PrecisionError(f"no certified bracket for k={k}, q={q} at {precision_bits} bits")
+    if not 53 <= bits <= MAX_PRECISION_BITS:
+        raise ValueError(f"precision_bits must be in [53, {MAX_PRECISION_BITS}], got {bits}")
+    p, s, x = bits + 16, 64, q << 64
+    for _ in range(_NEWTON_STEPS):
+        g = (x * (x - (q << s)) >> s) + (q - 1) * _pow((1 << 2 * s) // x, k - 1, s)  # over x**(k-1)
+        step = (g << s) // ((k + 1) * x - k * (q << s))
+        x -= step
+        if s == p and abs(step) < q << 16:
+            break
+        if s < p and 2 * abs(step).bit_length() + 16 < s:
+            x, s = x << min(s - 32, p - s), min(2 * s - 32, p)
+    x <<= p - s
+    top, cap = q << p, (q - 1) << 2 * p  # g * 2**(2p) = x**k * (x - q) * 2**(2p) + cap
+    lo, hi = max(x - (q << 12), (1 << p) + (1 << 16)), min(x + (q << 12), top)
+    if lo < hi and _pow(lo, k, p, cap=cap) * (lo - top) + cap < 0 < _pow(hi, k, p, True, cap) * (hi - top) + cap:
+        return lo, hi, p
+    raise PrecisionError(f"no certified bracket for k={k}, q={q} at {bits} bits")
+
+
+def find_alpha(k: int, q: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootEstimate:
+    """_bracket's certified bracket as exact mpmath numbers, its midpoint as alpha."""
+    lo, hi, p = _bracket(k, q, precision_bits)
+    from mpmath import mp
+    with mp.workprec(hi.bit_length() + 1):
+        return RootEstimate(alpha=mp.mpf((lo + hi, -p - 1)), lo=mp.mpf((lo, -p)), hi=mp.mpf((hi, -p)))
 
 
 def kq_threshold(q: int) -> int:
-    """Smallest k >= 1 with (1 - 1/q**k)**k > 1 - 1/q, in exact rational
-    arithmetic.  At and above this k the beta bracket of beta_bracket()
-    is guaranteed to contain a sign change of g."""
+    """Smallest k >= 1 with (1 - 1/q**k)**k > 1 - 1/q, that is g(q - q**(1-k))
+    < 0, in exact rationals.  The left side rises with k, so at and above
+    this k the beta bracket of beta_bracket() contains a sign change of g."""
     check_q(q)
     from fractions import Fraction
     rhs = 1 - Fraction(1, q)
@@ -183,71 +201,53 @@ def kq_threshold(q: int) -> int:
 
 def beta_bracket(k: int, q: int, precision_bits: int = DEFAULT_PRECISION_BITS):
     """A beta in (q - 1/q**(k-1), q) with g(beta) < 0, and the certified
-    lower bound q - (q-1)/beta**k < alpha.
-
-    Requires k >= kq_threshold(q) so that g is negative at the left end
-    of the bracket.  beta is midway from that end to find_alpha's certified
-    lo < alpha: about q**-k/2 below alpha, so g(beta) < 0.  Returns (beta, lower_bound).
-    """
-    from mpmath import mp
+    lower bound q - (q-1)/beta**k < alpha.  Requires k >= kq_threshold(q).
+    beta is the floor, at _bracket's scale, of the midpoint of q - q**(1-k)
+    and the certified lo < alpha, about q**-k/2 below alpha.  Exact integer
+    comparisons show q - q**(1-k) < beta < lo, so both have g < 0 (for
+    q - q**(1-k) that is kq_threshold's Fraction test at k), and lower <
+    lo, with beta**k floored so that lower is rounded down.  Returns (beta, lower)."""
     _check_kq(k, q)
     threshold = kq_threshold(q)
     if k < threshold:
-        raise ValueError(
-            f"k={k} below kq_threshold({q})={threshold}; no beta bracket is guaranteed"
-        )
-    # alpha sits within (q-1)/q**k of q, and alpha - lower is about
-    # (q-1)*k*q**(-2k-1)/2, so the working precision must grow with k*log2(q)
-    bits = max(precision_bits, 4 * k * q.bit_length() + 64)
-    est = find_alpha(k, q, bits)
-    with mp.workprec(bits + 16):
-        low = mp.mpf(q) - mp.mpf(q) ** (-(k - 1))
-        beta = (low + est.lo) / 2
-        lower = mp.mpf(q) - (q - 1) / beta**k
-        # g(low) < 0 at the left end; lower against the rigorous bracket, not the midpoint
-        if not (g_poly(k, q, low) < 0 and low < est.lo and lower < est.lo and est.hi < q):
-            raise PrecisionError(f"beta bracket for k={k}, q={q} did not certify")
-        return beta, lower
+        raise ValueError(f"k={k} below kq_threshold({q})={threshold}; no beta bracket is guaranteed")
+    # alpha - lower is about (q-1)*k*q**(-2k-1)/2: the precision grows with k*log2(q)
+    lo, hi, p = _bracket(k, q, max(precision_bits, 4 * k * q.bit_length() + 64))
+    scale, low = q ** (k - 1), (q**k - 1) << p  # q - q**(1-k) = low / (scale * 2**p)
+    beta = (low + lo * scale) // (2 * scale)
+    lower = (q << p) + ((1 - q) << 2 * p) // _pow(beta, k, p)
+    if not (low < beta * scale and beta < lo and lower < lo and hi < q << p):
+        raise PrecisionError(f"beta bracket for k={k}, q={q} did not certify")
+    from mpmath import mp
+    with mp.workprec(lo.bit_length()):
+        return mp.mpf((beta, -p)), mp.mpf((lower, -p))
 
 
 def fib_closed_form(k: int, q: int, n: int) -> int:
-    """F_{k,q}(n) as the nearest integer to
-
-        (alpha - 1) * alpha**(n+1) / ((q + (k+1)*(alpha - q)) * (q - 1))
-
-    in interval arithmetic on find_alpha's bracket, from the smallest
-    DEFAULT_PRECISION_BITS * 2**j bits above n*log2(q) + log2(n) + 32,
-    enough for F(n) <= q**n to its units (powers of two, so find_alpha's
-    cache hits across n).  The rounding is certified: the interval must lie strictly
-    within (m - 1/2, m + 1/2) for one integer m, or the bits double.
-    PrecisionError if that still fails at 64x the first pass's bits or
-    at MAX_PRECISION_BITS, whichever is less.
-    """
-    from mpmath import iv, mp
+    """F_{k,q}(n) as the nearest integer to (alpha - 1) * alpha**(n+1) /
+    ((q + (k+1)*(alpha - q)) * (q - 1)), on _bracket's [lo, hi] from the least
+    DEFAULT_PRECISION_BITS * 2**j bits above n*log2(q) + log2(n) + 32 (powers
+    of two, so the cache hits across n).  num and den rise with alpha: with
+    the power floored at lo and ceiled at hi, num(lo)/den(hi) and num(hi)/den(lo),
+    both at scale 2**(2p), enclose it if den(lo) > 0.  Both must lie strictly
+    within (m - 1/2, m + 1/2) for one integer m, or the bits double, up to
+    64x the first pass's or MAX_PRECISION_BITS: PrecisionError past that."""
     _check_kq(k, q, n)
     bits = DEFAULT_PRECISION_BITS
     while bits < n * math.log2(q) + n.bit_length() + 32:
         bits *= 2
     last = min(bits * 64, MAX_PRECISION_BITS)
     while bits <= last:
-        old_prec = iv.prec
-        try:
-            iv.prec = bits + 16
-            est = find_alpha(k, q, bits)
-            a = iv.mpf([est.lo, est.hi])
-            value = (a - 1) * a ** (n + 1) / ((q + (k + 1) * (a - q)) * (q - 1))
-            with mp.workprec(bits + 16):
-                lo_end, hi_end = mp.mpf(value.a), mp.mpf(value.b)
-                m = int(mp.floor(lo_end + mp.mpf("0.5")))
-                # 0.5 is exact in binary; strict containment certifies [x]
-                if lo_end > m - mp.mpf("0.5") and hi_end < m + mp.mpf("0.5"):
-                    return m
-        finally:
-            iv.prec = old_prec
+        lo, hi, p = _bracket(k, q, bits)
+        den_lo, den_hi = (((q << p) + (k + 1) * (a - (q << p))) * (q - 1) << p for a in (lo, hi))
+        if den_lo > 0:
+            num_lo = (lo - (1 << p)) * _pow(lo, n + 1, p)
+            num_hi = (hi - (1 << p)) * _pow(hi, n + 1, p, True)
+            m = (2 * num_lo + den_hi) // (2 * den_hi)
+            if (2 * m - 1) * den_hi < 2 * num_lo and 2 * num_hi < (2 * m + 1) * den_lo:
+                return m
         bits *= 2
-    raise PrecisionError(
-        f"could not certify rounding for k={k}, q={q}, n={n} up to {last} bits"
-    )
+    raise PrecisionError(f"could not certify rounding for k={k}, q={q}, n={n} up to {last} bits")
 
 
 def other_roots_inside_unit_disk(k: int, q: int) -> bool:

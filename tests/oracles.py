@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from fractions import Fraction
 
 from xbifix.construction import ENUM_CAP, validate_params
 from xbifix.words import CapacityError, Code
@@ -194,6 +195,24 @@ def f_poly(k: int, q: int, x):
     for _ in range(k - 1):
         acc = acc * x - (q - 1)
     return acc
+
+
+def exact_fraction(x) -> Fraction:
+    """x exactly: an int or Fraction as it is, an mpmath number from its
+    unsigned (mantissa, exponent) pair and its sign, without mpmath."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    man, exp = x.man_exp
+    return Fraction(-man if x < 0 else man) * Fraction(2) ** exp
+
+
+def g_sign(k: int, q: int, x) -> int:
+    """The sign of g(x) = x**k * (x - q) + (q - 1) = (x-1)*f(x), in exact
+    rationals: -1 on (1, alpha) and +1 past alpha, so it certifies a
+    bracket without sharing a step with the package's integer bounds."""
+    x = exact_fraction(x)
+    g = x**k * (x - q) + (q - 1)
+    return (g > 0) - (g < 0)
 
 
 def numeric_roots_inside_unit_disk(k: int, q: int, tol: float = 1e-8) -> bool:

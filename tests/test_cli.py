@@ -628,6 +628,13 @@ libraries = ("numpy", "mpmath", "click", "dataclasses", "inspect", "fractions", 
 print(json.dumps([m for m in libraries if m in sys.modules]))
 """
 
+# The closed form in a new interpreter, then the same report: it rounds on
+# its root bracket in plain integers.
+_CLOSED_FORM = """
+from xbifix.fibonacci import fib, fib_closed_form
+print(fib_closed_form(8, 5, 200) == fib(8, 5, 200))
+""" + _LOADED
+
 # The package's submodules that `import xbifix` loads: perfbench/spans.py
 # looks the layer functions up in them after that one import.
 _LAYERS = """
@@ -703,6 +710,9 @@ class TestImportCost:
         # table's upper bound is an exact Fraction
         assert output[-1] == "exit 0" and set(loaded) <= set(rationals)
         assert untimed(output[:-1]) == untimed(runner.invoke(main, args).stdout.splitlines())
+
+    def test_closed_form_loads_no_library(self):
+        assert _fresh_run(script=_CLOSED_FORM) == (["True"], [])
 
     def test_alpha_loads_mpmath_when_it_runs(self, runner):
         output, loaded = _fresh_run("alpha", "--k", "3", "--q", "2")

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -23,7 +24,15 @@ from xbifix.fibonacci import (
 
 from xbifix.words import CapacityError
 
-from oracles import f_poly, naive_fib, naive_fib_list, naive_fib_mod, numeric_roots_inside_unit_disk
+from oracles import (
+    exact_fraction,
+    f_poly,
+    g_sign,
+    naive_fib,
+    naive_fib_list,
+    naive_fib_mod,
+    numeric_roots_inside_unit_disk,
+)
 
 LARGE_N = [(3, 2, 3000), (10, 3, 2000), (3, 2, 40)]
 
@@ -326,12 +335,33 @@ class TestFindAlpha:
             assert est.hi - est.lo <= mp.mpf(2) ** -8192 * 5
         assert_enclosure(40, 5, est, 8192)
 
+    @pytest.mark.parametrize("q", [2, 3, 5, 36])
+    def test_bracket_encloses_alpha_in_exact_rationals(self, q):
+        # g's sign in Fractions, no interval arithmetic: lo < alpha < hi
+        for k in range(2, 41):
+            for bits in (53, 128, 1024):
+                est = find_alpha(k, q, bits)
+                lo, mid, hi = (exact_fraction(x) for x in (est.lo, est.alpha, est.hi))
+                assert 1 < lo < mid < hi <= q, (k, q, bits)
+                assert g_sign(k, q, lo) == -1 and g_sign(k, q, hi) == 1, (k, q, bits)
+
+    @pytest.mark.parametrize("q", [10**100, 3**200], ids=["10**100", "3**200"])
+    def test_bracket_certifies_when_q_outgrows_the_precision(self, q):
+        # q has more bits than the precision: the bracket's scale is
+        # absolute, so it still encloses alpha, 2**-bits * q wide
+        for k in (2, 7, 120):
+            for bits in (53, 128):
+                est = find_alpha(k, q, bits)
+                lo, hi = exact_fraction(est.lo), exact_fraction(est.hi)
+                assert 1 < lo < hi <= q and hi - lo <= Fraction(q, 2 ** (bits + 2)), (k, q, bits)
+                assert g_sign(k, q, lo) == -1 and g_sign(k, q, hi) == 1, (k, q, bits)
+
     def test_uncertified_bracket_raises(self, monkeypatch):
-        # one Newton step from q leaves x far above alpha; the interval
-        # check must refuse that bracket rather than return it
+        # one Newton step from q leaves x far above alpha; the sign check
+        # must refuse that bracket rather than return it
         monkeypatch.setattr(fibonacci, "_NEWTON_STEPS", 1)
         with pytest.raises(PrecisionError):
-            find_alpha.__wrapped__(2, 2, 128)
+            fibonacci._bracket.__wrapped__(2, 2, 128)
 
     def test_sign_pattern_of_g(self):
         for k, q in [(2, 2), (4, 3), (7, 2)]:
@@ -381,23 +411,33 @@ class TestBetaBracket:
         [(2, 2, 128), (10, 2, 128), (3, 3, 128), (7, 5, 128), (2, 2, 1000), (30, 36, 128), (5, 10**6, 53)],
     )
     def test_one_pass(self, k, q, precision_bits, monkeypatch):
-        # beta sits between q - q**(1-k) and find_alpha's certified low
-        # end, and lower falls short of that end by far more than the
-        # working precision resolves: one find_alpha call settles it
+        # beta sits between q - q**(1-k) and the certified low end of the
+        # bracket, and lower falls short of that end by far more than the
+        # working precision resolves: one bracket settles it
         bits = max(precision_bits, 4 * k * q.bit_length() + 64)
-        calls = []
+        calls, bracket = [], fibonacci._bracket
 
         def counted(k, q, bits):
             calls.append((k, q, bits))
-            return find_alpha(k, q, bits)
+            return bracket(k, q, bits)
 
-        monkeypatch.setattr(fibonacci, "find_alpha", counted)
+        monkeypatch.setattr(fibonacci, "_bracket", counted)
         beta, lower = beta_bracket(k, q, precision_bits)
         assert calls == [(k, q, bits)]
         est = find_alpha(k, q, bits)
         with mp.workprec(2 * bits):
             assert q - mp.mpf(q) ** (1 - k) < beta < est.lo
             assert est.lo - lower > mp.mpf(2) ** (-bits / 2)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 36])
+    def test_lower_below_lo_in_exact_rationals(self, q):
+        # q - q**(1-k) < beta < lo and lower < lo, compared as Fractions
+        for k in range(kq_threshold(q), 41):
+            beta, lower = (exact_fraction(x) for x in beta_bracket(k, q))
+            lo = exact_fraction(find_alpha(k, q, max(128, 4 * k * q.bit_length() + 64)).lo)
+            low = q - Fraction(1, q ** (k - 1))
+            assert low < beta < lo and 1 < lower < lo, (k, q)
+            assert g_sign(k, q, low) == g_sign(k, q, beta) == g_sign(k, q, lower) == -1, (k, q)
 
     def test_below_threshold_rejected(self):
         with pytest.raises(ValueError):
@@ -418,41 +458,47 @@ class TestClosedForm:
             n = rng.randint(0, 200)
             assert fib_closed_form(k, q, n) == fib(k, q, n), (k, q, n)
 
+    def test_matches_recurrence_grid(self):
+        for k in range(2, 13):
+            for q in (2, 3, 4, 5, 7, 36):
+                for n in range(0, 401, 7):
+                    assert fib_closed_form(k, q, n) == fib(k, q, n), (k, q, n)
+
     def test_first_pass_covers_n(self, monkeypatch):
         # 200*log2(5) + 8 + 32 bits fit in 512 = 128 * 2**2: one pass, no escalation
-        calls = []
+        calls, bracket = [], fibonacci._bracket
 
         def counted(k, q, bits):
             calls.append((k, q, bits))
-            return find_alpha(k, q, bits)
+            return bracket(k, q, bits)
 
-        monkeypatch.setattr(fibonacci, "find_alpha", counted)
+        monkeypatch.setattr(fibonacci, "_bracket", counted)
         assert fib_closed_form(8, 5, 200) == fib(8, 5, 200)
         assert calls == [(8, 5, 512)]
 
     def test_coarse_bracket_escalates(self, monkeypatch):
         # a 53-bit bracket at the first pass cannot settle F(200); the
         # next pass doubles the bits and lands on the exact value
-        calls = []
+        calls, bracket = [], fibonacci._bracket
 
         def coarse_first(k, q, bits):
             calls.append(bits)
-            return find_alpha(k, q, 53 if len(calls) == 1 else bits)
+            return bracket(k, q, 53 if len(calls) == 1 else bits)
 
-        monkeypatch.setattr(fibonacci, "find_alpha", coarse_first)
+        monkeypatch.setattr(fibonacci, "_bracket", coarse_first)
         assert fib_closed_form(3, 2, 200) == fib(3, 2, 200)
         assert calls == [256, 512]
 
     def test_escalation_stops_at_max_precision(self, monkeypatch):
         # from half the bound the bits double once, not 64x over; a first
         # pass past the bound is refused before any root is found
-        top, calls = fibonacci.MAX_PRECISION_BITS, []
+        top, calls, bracket = fibonacci.MAX_PRECISION_BITS, [], fibonacci._bracket
 
         def coarse(k, q, bits):
             calls.append(bits)
-            return find_alpha(k, q, 53)
+            return bracket(k, q, 53)
 
-        monkeypatch.setattr(fibonacci, "find_alpha", coarse)
+        monkeypatch.setattr(fibonacci, "_bracket", coarse)
         with pytest.raises(PrecisionError, match=f"up to {top} bits"):
             fib_closed_form(2, 2, top // 2 - 64)
         with pytest.raises(PrecisionError):
