@@ -16,7 +16,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .fibonacci import find_alpha
-from .construction import best_size, size_formula
+from .construction import best_k_and_size, size_formula
 from .words import CapacityError, check_q
 
 if TYPE_CHECKING:
@@ -54,17 +54,18 @@ def bilotta_size(n: int) -> int:
     m; the printed case labels in the source do not reproduce the known
     size table (23 at n=10, 72 at n=12, 227 at n=14), so the labels here
     are swapped and the half-integer summation limits floored, which
-    matches every tabulated entry.
+    matches every tabulated entry.  Segner's identity, sum(C_i * C_(m-i)
+    for i = 0..m) = C_(m+1), folds each half-sum into Catalan numbers.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     if n % 2 == 1:
         return catalan((n - 1) // 2)
     m = (n - 2) // 2
-    if m % 2 == 0:
-        return sum(catalan(i) * catalan(m - i) for i in range(m // 2 + 1))
-    total = sum(catalan(i) * catalan(m - i) for i in range((m + 1) // 2 + 1))
-    return total - catalan((m - 1) // 2) ** 2
+    if m % 2 == 0:  # i <= m/2: half the full sum and half the middle term C_(m/2)**2
+        return (catalan(m + 1) + catalan(m // 2) ** 2) // 2
+    # i <= h+1 for h = m//2: half the full sum, and term h+1, C_(h+1) * C_h, less C_h**2
+    return catalan(m + 1) // 2 + catalan(m // 2) * (catalan(m // 2 + 1) - catalan(m // 2))
 
 
 def target_ratio(q: int) -> float:
@@ -120,10 +121,10 @@ class BoundsReport(NamedTuple):
 
 
 def bounds_report(n: int, q: int) -> BoundsReport:
-    record = best_size(n, q)
+    best_k, size = best_k_and_size(n, q)
     return BoundsReport(
-        construction_size=record.size,
-        best_k=record.best_k,
+        construction_size=size,
+        best_k=best_k,
         upper_bound=upper_bound(n, q),
         bilotta=bilotta_size(n) if q == 2 else None,
     )

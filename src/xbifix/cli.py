@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from . import __version__
 from .bounds import asymptotic_probe, bounds_report, target_ratio, variance_formula
 from .clique import build_graph, max_clique
-from .construction import best_size, generate_direct
+from .construction import best_k_and_size, best_size, generate_direct
 from .fibonacci import DEFAULT_PRECISION_BITS, fib, find_alpha
 from .sim import DEFAULT_MAX_STREAM, SimConfig, run_sim
 from .words import (
@@ -36,7 +36,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 DESK_SCALE_N = 14  # an exact clique search runs unasked on q**n <= 2**DESK_SCALE_N words
-TABLE_N_CAP = 1_000  # longest --n-max table tabulates: `table --n-max 1000` takes 3-5 s
+TABLE_N_CAP = 1_000  # longest --n-max table tabulates: `table --n-max 1000` takes 0.6-0.9 s
 
 
 @contextmanager
@@ -131,12 +131,13 @@ def gen(n, k, q, out):
 
 def best(n, q, as_json):
     """Best construction size over all k."""
-    record = best_size(n, q)
-    if as_json:
+    if as_json:  # only --json needs the size at every k
+        record = best_size(n, q)
         per_k = {k: str(size) for k, size in record.per_k.items()}
         print(_json({**record._asdict(), "size": str(record.size), "per_k": per_k}))
     else:
-        print(f"S({n},{q}) = {record.size}  (k = {'-' if record.best_k is None else record.best_k})")
+        best_k, size = best_k_and_size(n, q)
+        print(f"S({n},{q}) = {size}  (k = {'-' if best_k is None else best_k})")
 
 
 def fib_cmd(k, q, n):
@@ -150,9 +151,15 @@ def alpha(k, q, bits, as_json):
     import mpmath
     digits = max(int(bits * math.log10(2)) - 2, 6)
     with mpmath.mp.workprec(bits + 16):
-        value, lo, hi = (mpmath.nstr(x, digits) for x in (est.alpha, est.lo, est.hi))
-    record = {"k": k, "q": q, "precision_bits": bits, "alpha": value, "bracket": [lo, hi]}
-    print(_json(record) if as_json else value)
+        value = mpmath.nstr(est.alpha, digits)
+    if as_json:  # the bracket's exact ends rounded outward, so that the two strings enclose alpha
+        from decimal import Context
+        bracket = []
+        for end, rounding in ((est.lo, "ROUND_FLOOR"), (est.hi, "ROUND_CEILING")):
+            (man, exp), context = end.man_exp, Context(digits, rounding, capitals=0)
+            bracket.append(context.to_sci_string(context.divide(man << max(exp, 0), 1 << max(-exp, 0))))
+        value = _json({"k": k, "q": q, "precision_bits": bits, "alpha": value, "bracket": bracket})
+    print(value)
 
 
 def table(q, n_max, as_json, markdown, clique_upto):

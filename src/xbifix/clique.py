@@ -28,7 +28,7 @@ from __future__ import annotations
 import time
 from typing import NamedTuple
 
-from .construction import best_size, generate_direct
+from .construction import best_k_and_size, generate_direct
 from .words import CapacityError, Code, bifix_free, check_alphabet, check_power_cap, compatibility_rows, verify_code
 
 VERTEX_CAP = 2**16  # bifix-free words, and vertices built from them, build_graph takes at most
@@ -90,7 +90,7 @@ def _seed_clique(graph: CompatGraph) -> list[int]:
     It is a clique by construction and a strong starting incumbent."""
     if graph.n < 4:
         return []
-    code = generate_direct(graph.n, best_size(graph.n, graph.q).best_k, graph.q)
+    code = generate_direct(graph.n, best_k_and_size(graph.n, graph.q)[0], graph.q)
     index = {v: i for i, v in reversed(list(enumerate(graph.vertices)))}  # first copies, s = 1
     return [index[v] for v in code.values]
 

@@ -233,6 +233,8 @@ def fib_closed_form(k: int, q: int, n: int) -> int:
     within (m - 1/2, m + 1/2) for one integer m, or the bits double, up to
     64x the first pass's or MAX_PRECISION_BITS: PrecisionError past that."""
     _check_kq(k, q, n)
+    if n > MAX_PRECISION_BITS:  # the first pass needs more than n bits; no float sees n
+        raise PrecisionError(f"n of {n.bit_length()} bits needs more than {MAX_PRECISION_BITS} bits")
     bits = DEFAULT_PRECISION_BITS
     while bits < n * math.log2(q) + n.bit_length() + 32:
         bits *= 2

@@ -188,6 +188,46 @@ def naive_fib_mod(k: int, q: int, n: int, p: int) -> int:
     return values[min(n, k - 1)]
 
 
+def full_k_best(q: int, n_max: int) -> dict[int, tuple[int, int]]:
+    """(best k, size) for every n in 4..n_max: the size (q-1)**2 *
+    F_{k,q}(n-k-2) maximized over every k in 2..n-2, smallest k on ties.
+    Each k's F list is kept by a running sum of its last k values."""
+    best: dict[int, tuple[int, int]] = {}
+    for k in range(2, n_max - 1):
+        f = [q**i for i in range(k)]
+        window = sum(f)
+        while len(f) < n_max - k - 1:
+            f.append((q - 1) * window)
+            window += f[-1] - f[-k - 1]
+        for n in range(k + 2, n_max + 1):
+            size = (q - 1) ** 2 * f[n - k - 2]
+            if n not in best or size > best[n][1]:
+                best[n] = (k, size)
+    return best
+
+
+@functools.lru_cache(maxsize=None)
+def naive_catalan(m: int) -> int:
+    """C_m by the recurrence C_(i+1) = C_i * 2(2i+1) / (i+2) from C_0 = 1."""
+    c = 1
+    for i in range(m):
+        c = c * 2 * (2 * i + 1) // (i + 2)
+    return c
+
+
+def naive_bilotta_size(n: int) -> int:
+    """bounds.bilotta_size by its half-sums of Catalan products, term by
+    term: C_((n-1)/2) for odd n; for n = 2m+2 the sum of C_i * C_(m-i) over
+    i <= m/2 for even m, and over i <= (m+1)/2 less C_((m-1)/2)**2 for odd m."""
+    if n % 2 == 1:
+        return naive_catalan((n - 1) // 2)
+    m = (n - 2) // 2
+    if m % 2 == 0:
+        return sum(naive_catalan(i) * naive_catalan(m - i) for i in range(m // 2 + 1))
+    total = sum(naive_catalan(i) * naive_catalan(m - i) for i in range((m + 1) // 2 + 1))
+    return total - naive_catalan((m - 1) // 2) ** 2
+
+
 def f_poly(k: int, q: int, x):
     """f(x) = x**k - (q-1) * (x**(k-1) + ... + x + 1), by Horner: the
     characteristic polynomial whose shift (x-1)*f(x) fibonacci.g_poly is."""

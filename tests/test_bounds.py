@@ -14,6 +14,8 @@ from xbifix.bounds import (
 )
 from xbifix.construction import best_size
 
+from oracles import naive_bilotta_size
+
 # published comparison column (binary lattice-path construction sizes)
 BILOTTA = {
     3: 1, 4: 1, 5: 2, 6: 3, 7: 5, 8: 8, 9: 14, 10: 23, 11: 42, 12: 72,
@@ -72,6 +74,11 @@ class TestBilotta:
     def test_full_table(self):
         for n, expected in BILOTTA.items():
             assert bilotta_size(n) == expected, n
+
+    def test_closed_form_matches_half_sums(self):
+        # Segner's identity against the term-by-term half-sums, both parities of m
+        for n in range(3, 2001):
+            assert bilotta_size(n) == naive_bilotta_size(n), n
 
     def test_construction_larger_for_long_lengths(self):
         for n in range(13, 31):

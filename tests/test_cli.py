@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,8 @@ from xbifix.clique import build_graph, max_clique
 from xbifix.construction import generate_direct, size_formula
 from xbifix.fibonacci import fib
 from xbifix.words import format_code, parse_code, write_code
+
+from oracles import g_sign
 
 
 class _Tee(io.StringIO):
@@ -142,6 +145,16 @@ class TestBest:
             '"23": "32", "24": "16", "25": "8", "26": "4", "27": "2", "28": "1"}}\n'
         )
 
+    def test_text_counts_few_sizes(self, runner, monkeypatch):
+        # without --json no per-k table is built: 13 sizes at n = 20000
+        from xbifix import construction
+
+        calls, size = [], construction.size_formula
+        monkeypatch.setattr(construction, "size_formula", lambda n, k, q: calls.append(k) or size(n, k, q))
+        result = runner.invoke(main, ["best", "--n", "20000"])
+        assert result.exit_code == 0 and result.stdout.endswith("  (k = 13)\n")
+        assert len(calls) <= 20
+
     def test_json_is_byte_identical_at_2000(self, runner):
         # sha256 of the output before fib summed zero runs for short lengths
         result = runner.invoke(main, ["best", "--n", "2000", "--json"])
@@ -186,6 +199,26 @@ class TestFibAlpha:
         )
         data = json.loads(result.output)
         assert float(data["bracket"][0]) <= float(data["alpha"]) <= float(data["bracket"][1])
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 36])
+    def test_alpha_json_bracket_strings_enclose_alpha(self, runner, q):
+        # the printed ends, read as exact decimals, enclose alpha: g < 0 at
+        # lo > 1 and g > 0 at hi, in exact rationals
+        for k in range(2, 21):
+            for bits in (53, 64, 128, 1024):
+                result = runner.invoke(main, ["alpha", "--k", str(k), "--q", str(q), "--bits", str(bits), "--json"])
+                lo, hi = json.loads(result.stdout)["bracket"]
+                assert lo != hi and Fraction(lo) > 1, (k, q, bits)
+                assert g_sign(k, q, Fraction(lo)) == -1 and g_sign(k, q, Fraction(hi)) == 1, (k, q, bits)
+
+    def test_alpha_json_bracket_text(self, runner):
+        result = runner.invoke(main, ["alpha", "--k", "2", "--q", "2", "--bits", "53", "--json"])
+        assert result.stdout == (
+            '{"k": 2, "q": 2, "precision_bits": 53, "alpha": "1.61803398875", '
+            '"bracket": ["1.618033988749", "1.618033988750"]}\n'
+        )
+        result = runner.invoke(main, ["alpha", "--k", "2", "--q", str(10**100), "--bits", "53", "--json"])
+        assert json.loads(result.stdout)["bracket"] == ["9.999999999999e+99", "1.000000000000e+100"]
 
     def test_alpha_json_default_precision(self, runner):
         result = runner.invoke(main, ["alpha", "--k", "2", "--q", "2", "--json"])

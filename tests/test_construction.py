@@ -1,10 +1,10 @@
 import pytest
 
 from xbifix import construction
-from xbifix.construction import BEST_N_CAP, best_size, generate_direct, size_formula
+from xbifix.construction import BEST_N_CAP, best_k_and_size, best_size, generate_direct, size_formula
 from xbifix.words import CapacityError, Code, find_expansion, format_code, verify_code
 
-from oracles import code_symbols, digits_oracle, generate_recursive, naive_fib_list
+from oracles import code_symbols, digits_oracle, full_k_best, generate_recursive, naive_fib_list
 
 # published size table for the binary alphabet: n -> (S(n,2), best k)
 TABLE = {
@@ -172,8 +172,49 @@ class TestBestSize:
 
     def test_length_cap_boundary(self, monkeypatch):
         # the cap passes the check and one more is refused; the sizes at
-        # the cap are stubbed, not counted
-        monkeypatch.setattr(construction, "size_formula", lambda n, k, q: k)
-        assert best_size(BEST_N_CAP, 2).size == BEST_N_CAP - 2
+        # the cap are stubbed, not counted, by n-k-2 <= (q-1)**2 * q**(n-k-2),
+        # the bound the walk stops on
+        monkeypatch.setattr(construction, "size_formula", lambda n, k, q: n - k - 2)
+        assert best_size(BEST_N_CAP, 2).size == BEST_N_CAP - 4
         with pytest.raises(CapacityError, match=f"exceeds cap {BEST_N_CAP}"):
             best_size(BEST_N_CAP + 1, 2)
+
+
+class TestBestKAndSize:
+    @pytest.mark.parametrize("q,n_max", [(2, 1000), (3, 300), (5, 200)])
+    def test_matches_full_k_maximum(self, q, n_max):
+        # every length, against the maximum over every k, smallest k on ties
+        want = full_k_best(q, n_max)
+        for n in range(4, n_max + 1):
+            assert best_k_and_size(n, q) == want[n], (n, q)
+
+    @pytest.mark.parametrize(
+        "n,q,error,message",
+        [
+            (2, 1, ValueError, "n must be >= 3, got 2"),
+            (3, 1, ValueError, "n=3 is only tabulated for the binary alphabet"),
+            (3, 3, ValueError, "n=3 is only tabulated for the binary alphabet"),
+            (BEST_N_CAP + 1, 1, CapacityError, f"n has 15 bits, exceeds cap {BEST_N_CAP}"),
+            (10, 1, ValueError, "q must be >= 2"),
+            (BEST_N_CAP, 2**64, CapacityError, "exceeds cap"),
+        ],
+    )
+    def test_refusals_match_best_size(self, n, q, error, message):
+        # the same inputs refused in the same order with the same messages
+        for maximize in (best_k_and_size, best_size):
+            with pytest.raises(error, match=message):
+                maximize(n, q)
+
+    def test_stops_after_a_few_sizes(self, monkeypatch):
+        # at the cap the best k is 13 and the bound falls to the best size
+        # at k = 15: 13 of the 19,997 sizes are counted, at most 20 allowed
+        calls, size = [], construction.size_formula
+
+        def counted(n, k, q):
+            calls.append(k)
+            return size(n, k, q)
+
+        monkeypatch.setattr(construction, "size_formula", counted)
+        best_k, _ = best_k_and_size(BEST_N_CAP, 2)
+        assert calls == list(range(2, len(calls) + 2))
+        assert best_k == 13 and len(calls) <= 20

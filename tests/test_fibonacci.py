@@ -506,6 +506,15 @@ class TestClosedForm:
         assert calls == [top // 2, top]
 
 
+    @pytest.mark.parametrize("n", [fibonacci.MAX_PRECISION_BITS + 1, 10**400], ids=["max+1", "10**400"])
+    def test_length_past_max_precision_refused_at_once(self, n, monkeypatch):
+        # the first pass would need more than n bits; n is refused before
+        # a float sees it (10**400 overflows one) or a root is bracketed
+        monkeypatch.setattr(fibonacci, "_bracket", None)
+        with pytest.raises(PrecisionError, match=f"needs more than {fibonacci.MAX_PRECISION_BITS} bits"):
+            fib_closed_form(2, 2, n)
+
+
 class TestRoots:
     @pytest.mark.parametrize("k,q", [(2, 2), (4, 2), (3, 5)])
     def test_examples(self, k, q):
