@@ -9,18 +9,21 @@ the words that start below s and end at s or above, s = 1..q//2.  For
 q = 2 and n >= 3, either no word starts or no word ends with 01, and
 reverse-complement swaps the two, so the words 00...1 are enough.  (n = 1
 keeps all q words: it has no proper prefix.  The 00 step needs n >= 3: at
-n = 2 it would leave no word, while C(2,2) = 1.)  The graph joins mutually
-cross-bifix-free words, as words.compatibility_rows gives them, in the
-disjoint union of these sets, s = 1 first, each in descending-degree
-order; a word may lie in two.
+n = 2 it would leave no word, while C(2,2) = 1.)  Only these words are
+enumerated.  The graph joins mutually cross-bifix-free words, as
+words.compatibility_rows gives them, in the disjoint union of these sets,
+mirrored: s = 1 in the top bits, each set in reverse search order
+(descending degree, then ascending value); a word may lie in two.
 
 The solver is a branch-and-bound over bitset candidate sets, seeded from
 n = 4 on with the constructed code, which lies in the s = 1 set.  Its upper
 bounds come from a greedy coloring built one class at a time (as in BBMC,
-San Segundo et al. 2011); only vertices in classes that can still beat
-the incumbent are branched on, the highest class first.  It keeps its own
-stack of open nodes, so no interpreter limit bounds its depth, the clique
-size.  C(13,2) = 149 certifies in 655 nodes, C(3,19) = 1,014 in 1,014.
+San Segundo et al. 2011) from the top bit down, two big-int operations per
+coloured vertex against precomputed non-neighbour masks; only vertices in
+classes that can still beat the incumbent are branched on, the highest
+class first, the lowest bit of each first.  It keeps its own stack of
+open nodes, so no interpreter limit bounds its depth, the clique size.
+C(13,2) = 149 certifies in 655 nodes, C(3,19) = 1,014 in 1,014.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ VERTEX_CAP = 2**16  # bifix-free words, and vertices built from them, build_grap
 
 
 class CompatGraph(NamedTuple):
-    """Compatibility graph with bitset adjacency (one int per vertex)."""
+    """Compatibility graph with bitset adjacency (one int per vertex), in
+    mirrored search order: the s = 1 component in the top bits."""
 
     n: int
     q: int
@@ -55,11 +59,20 @@ class CliqueResult(NamedTuple):
 
 
 def _component(words: list[int], n: int, q: int) -> tuple[list[int], list[int]]:
-    """The words in search order, descending degree then ascending value,
-    and per word its bitset of neighbours in that order."""
+    """The words in mirrored search order, ascending degree then descending
+    value, and per word its bitset of neighbours in that order."""
     degrees = (-row.bit_count() for row in compatibility_rows(words, n, q))
-    words = [w for _, w in sorted(zip(degrees, words))]
+    words = [w for _, w in sorted(zip(degrees, words), reverse=True)]
     return words, compatibility_rows(words, n, q)
+
+
+def _bifix_free_count(n: int, q: int) -> int:
+    """The number of bifix-free length-n words over Z_q, by Nielsen's
+    recurrence u(1) = q, u(m) = q u(m-1) - (u(m/2) for even m)."""
+    counts = [0, q]
+    for m in range(2, n + 1):
+        counts.append(q * counts[-1] - (counts[m // 2] if m % 2 == 0 else 0))
+    return counts[n]
 
 
 def build_graph(n: int, q: int) -> CompatGraph:
@@ -69,16 +82,16 @@ def build_graph(n: int, q: int) -> CompatGraph:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     check_power_cap(q, n, VERTEX_CAP * 8)
-    words = bifix_free(range(q**n), n, q)
-    parts = [words]
+    parts = [list(range(q))]
     if n >= 2:
         cut = q ** (n - (2 if q == 2 and n >= 3 else 1))  # w // cut must lie below s
+        words = bifix_free((w for w in range(q // 2 * cut) if w // cut < w % q), n, q)  # in some part
         parts = [[w for w in words if w // cut < s <= w % q] for s in range(1, q // 2 + 1)]
-    size = max(len(words), sum(map(len, parts)))  # the words filtered, the vertices built
+    size = max(_bifix_free_count(n, q), sum(map(len, parts)))  # every bifix-free word, the vertices built
     if size > VERTEX_CAP:
         raise CapacityError(f"{size} vertices exceed cap {VERTEX_CAP}")
     vertices, adjacency = [], []
-    for part in parts:
+    for part in reversed(parts):
         values, rows = _component(part, n, q)
         adjacency.extend(row << len(vertices) for row in rows)
         vertices.extend(values)
@@ -91,7 +104,7 @@ def _seed_clique(graph: CompatGraph) -> list[int]:
     if graph.n < 4:
         return []
     code = generate_direct(graph.n, best_k_and_size(graph.n, graph.q)[0], graph.q)
-    index = {v: i for i, v in reversed(list(enumerate(graph.vertices)))}  # first copies, s = 1
+    index = {v: i for i, v in enumerate(graph.vertices)}  # last copies, s = 1
     return [index[v] for v in code.values]
 
 
@@ -108,6 +121,8 @@ def max_clique(graph: CompatGraph, time_budget: float | None = None) -> CliqueRe
     start = time.monotonic()
     deadline = None if time_budget is None else start + time_budget
     adj = graph.adjacency
+    bits = [1 << v for v in range(len(adj))]
+    nonadj = [bit - 1 & ~a for bit, a in zip(bits, adj)]  # the non-neighbours below each vertex
     best = _seed_clique(graph)
     nodes, optimal = 0, True
     clique: list[int] = []  # per open node but the root, the vertex it was entered by
@@ -117,7 +132,7 @@ def max_clique(graph: CompatGraph, time_budget: float | None = None) -> CliqueRe
         nodes += 1
         if deadline is not None and time.monotonic() > deadline:
             optimal = False
-            best = max(best, clique or [0], key=len)
+            best = max(best, clique or [len(adj) - 1], key=len)
             break
         # greedy coloring of the candidate set, one class at a time; a
         # vertex of the i-th class extends the clique by at most i + 1
@@ -125,16 +140,16 @@ def max_clique(graph: CompatGraph, time_budget: float | None = None) -> CliqueRe
         while uncolored:
             cls, members = uncolored, 0
             while cls:
-                bit = cls & -cls
-                members |= bit
-                cls &= ~(bit | adj[bit.bit_length() - 1])
-            uncolored &= ~members
+                v = cls.bit_length() - 1
+                members |= bits[v]
+                cls &= nonadj[v]
+            uncolored ^= members
             classes.append(members)
         # the first len(best) - len(clique) classes cannot improve on best
         cut = max(len(best) - len(clique), 0)
         del classes[:cut]
         stack.append((rest, classes, 0, len(clique) + cut))
-        # branch on the highest classes first, the highest vertex of each first
+        # branch on the highest classes first, the lowest vertex of each first
         while stack:
             candidates, classes, members, floor = stack[-1]
             if not members and classes:
@@ -143,8 +158,8 @@ def max_clique(graph: CompatGraph, time_budget: float | None = None) -> CliqueRe
                 stack.pop()  # nothing left to branch on, or nothing that can beat best
                 del clique[-1:]  # the vertex it was entered by; the root has none
                 continue
-            v = members.bit_length() - 1
-            stack[-1] = (candidates ^ 1 << v, classes, members ^ 1 << v, floor)
+            v = (members & -members).bit_length() - 1
+            stack[-1] = (candidates ^ bits[v], classes, members ^ bits[v], floor)
             rest = candidates & adj[v]  # adj[v] never holds v itself
             if rest:
                 clique.append(v)

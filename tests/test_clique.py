@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import sys
@@ -9,7 +10,7 @@ import pytest
 from xbifix import clique
 from xbifix.clique import CompatGraph, build_graph, max_clique
 from xbifix.construction import best_size
-from xbifix.words import CapacityError, cross_pair_ok, verify_code
+from xbifix.words import CapacityError, bifix_free, cross_pair_ok, verify_code
 
 from oracles import (
     all_words,
@@ -28,6 +29,22 @@ OPTIMAL = {3: 1, 4: 1, 5: 2, 6: 3, 7: 5, 8: 8, 9: 14, 10: 24, 11: 44, 12: 81, 13
 OPTIMAL_Q = {3: {3: 4, 4: 8, 5: 17, 6: 41, 7: 99}, 4: {3: 9, 4: 27, 5: 81, 6: 251}, 10: {4: 1029}}
 # search nodes allowed, (n, q): 105, 655, 268 and 1,029 measured with the split graph
 NODE_CEILING = {(12, 2): 360, (13, 2): 1180, (6, 4): 400, (4, 10): 1500}
+# (n, q): the nodes the search takes and the first 16 hex digits of the
+# sha256 of repr(witness.values), for the benchmark's 18 certify rows
+# (q=2 n<=12, q=3 n<=7, q=4 n<=5; 511 nodes together), (13,2) and (6,4):
+# a change to the graph's layout or the search must leave all of them alone
+SEARCH = {
+    (3, 2): (1, "28cb03b06c288e88"), (4, 2): (1, "4079e4af87d7d813"),
+    (5, 2): (1, "a4b1877e00a1564f"), (6, 2): (1, "1b39bb3904dc5781"),
+    (7, 2): (1, "e67a8021fac024dd"), (8, 2): (1, "8d3ac5acf685a115"),
+    (9, 2): (16, "9cfbff1ebbc3f3ba"), (10, 2): (9, "ad3bc3d5b2684ced"),
+    (11, 2): (24, "1f1a35ddd3b0d6e1"), (12, 2): (105, "0f09f819ca1d475e"),
+    (3, 3): (4, "58fa54ed7a6fea0d"), (4, 3): (8, "e3df8ce4ae7dedde"),
+    (5, 3): (17, "4000eb82f3deb034"), (6, 3): (46, "df2b3af9997db94a"),
+    (7, 3): (159, "928a22e55481f7e5"), (3, 4): (9, "d36543309afb2926"),
+    (4, 4): (27, "3271bf28236c6b8e"), (5, 4): (81, "57ded631e5fb7a0c"),
+    (13, 2): (655, "2e74a51b47e0223f"), (6, 4): (268, "b26f368bf357a45b"),
+}
 
 
 def brute_force_max_clique(n, q):
@@ -104,9 +121,11 @@ def split_sets(n, q):
 
 
 def components(graph):
-    """The index ranges of build_graph's components, from the split sets."""
+    """The index ranges of build_graph's components by s, from the split
+    sets: s = 1 holds the top bits, each later s the bits below."""
+    size = len(graph.vertices)
     bounds = itertools.accumulate(len(c) for c in split_sets(graph.n, graph.q))
-    return [range(a, b) for a, b in itertools.pairwise(itertools.chain([0], bounds))]
+    return [range(size - b, size - a) for a, b in itertools.pairwise(itertools.chain([0], bounds))]
 
 
 def dense(graph):
@@ -136,12 +155,12 @@ class TestBuildGraph:
         "n,q", [(1, 3), (2, 3), (7, 2), (4, 3), (2, 5), (4, 4), (3, 6), (3, 7)]
     )
     def test_components(self, n, q):
-        # the components follow one another by s, each exactly its split set,
-        # and no edge joins two of them
+        # the components follow one another by s from the top bits down,
+        # each exactly its split set, and no edge joins two of them
         g = build_graph(n, q)
         parts = components(g)
         assert len(parts) == (1 if n == 1 else q // 2)
-        assert parts[-1].stop == len(g.vertices)
+        assert parts[0].stop == len(g.vertices) and parts[-1].start == 0
         for part, expected in zip(parts, split_sets(n, q)):
             words = [digits_oracle(g.vertices[i], n, q) for i in part]
             assert len(words) == len(set(words)) and set(words) == expected
@@ -173,10 +192,11 @@ class TestBuildGraph:
 
     @pytest.mark.parametrize("n,q", [(8, 2), (5, 3), (4, 4), (3, 6)])
     def test_search_order(self, n, q):
-        # per component, descending degree, then ascending value
+        # per component, read from the top: descending degree, then
+        # ascending value
         g = build_graph(n, q)
         for part in components(g):
-            keys = [(-g.adjacency[i].bit_count(), g.vertices[i]) for i in part]
+            keys = [(-g.adjacency[i].bit_count(), g.vertices[i]) for i in reversed(part)]
             assert keys == sorted(keys)
 
     def test_union_capacity(self):
@@ -186,11 +206,22 @@ class TestBuildGraph:
             build_graph(4, 16)
 
     def test_capacity_guard(self):
-        # n=19: 140,680 bifix-free words, past VERTEX_CAP = 2**16;
-        # n=20: q**n itself is past 8 * VERTEX_CAP
-        for n in (19, 20):
-            with pytest.raises(CapacityError):
-                build_graph(n, 2)
+        # n=19: 140,680 bifix-free words, past VERTEX_CAP = 2**16, though
+        # the graph would hold only the 00...1 ones; n=20: q**n itself is
+        # past 8 * VERTEX_CAP
+        with pytest.raises(CapacityError, match="^140680 vertices exceed cap 65536$"):
+            build_graph(19, 2)
+        with pytest.raises(CapacityError, match=r"^q\*\*n = 2\*\*20 exceeds cap 524288$"):
+            build_graph(20, 2)
+
+    @pytest.mark.parametrize("q", range(2, 7))
+    def test_bifix_free_count(self, q):
+        # the count VERTEX_CAP refuses by, against the filter, at every n
+        # the power cap lets through
+        n = 1
+        while q**n <= 8 * clique.VERTEX_CAP:
+            assert clique._bifix_free_count(n, q) == len(bifix_free(range(q**n), n, q)), n
+            n += 1
 
     @pytest.mark.parametrize("n,q", [(0, 2), (4, 1)])
     def test_invalid_parameters(self, n, q):
@@ -216,6 +247,12 @@ class TestOrbits:
 
 
 class TestMaxClique:
+    @pytest.mark.parametrize("n,q", list(SEARCH))
+    def test_search_is_pinned(self, n, q):
+        result = max_clique(build_graph(n, q))
+        digest = hashlib.sha256(repr(result.witness.values).encode()).hexdigest()[:16]
+        assert (result.nodes_explored, digest) == SEARCH[n, q]
+
     def test_witness_reverified(self, monkeypatch):
         # the explicit check survives python -O, unlike an assert
         monkeypatch.setattr("xbifix.clique.verify_code", lambda code: False)
@@ -258,11 +295,13 @@ class TestMaxClique:
 
     @pytest.mark.parametrize("n,q", [(5, 4), (6, 4)])
     def test_seed_is_a_clique(self, n, q):
-        # a word can lie in both components; the seed takes its s=1 copy
+        # a word can lie in both components; the seed takes its s=1 copy,
+        # in the top bits
         g = build_graph(n, q)
         seed = clique._seed_clique(g)
         assert len(seed) == best_size(n, q).size
-        assert max(seed) < len(components(g)[0])
+        top = components(g)[0]
+        assert all(i in top for i in seed)
         for u, v in itertools.combinations(seed, 2):
             assert g.adjacency[u] >> v & 1
 
