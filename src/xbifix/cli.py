@@ -18,12 +18,13 @@ from contextlib import contextmanager
 from . import __version__
 from .bounds import asymptotic_probe, bounds_report, target_ratio, variance_formula
 from .clique import build_graph, max_clique
-from .construction import best_k_and_size, best_size, generate_direct
+from .construction import best_k_and_size, generate_direct
 from .fibonacci import DEFAULT_PRECISION_BITS, fib, find_alpha
 from .sim import DEFAULT_MAX_STREAM, SimConfig, run_sim
 from .words import (
     CapacityError,
     check_alphabet,
+    check_q,
     digits,
     find_expansion,
     find_violation,
@@ -37,6 +38,7 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 DESK_SCALE_N = 14  # an exact clique search runs unasked on q**n <= 2**DESK_SCALE_N words
 TABLE_N_CAP = 1_000  # longest --n-max table tabulates: `table --n-max 1000` takes 0.6-0.9 s
+TABLE_BITS_CAP = 2**22  # most bits, n_max**2 * log2(q) / 2, in table's sizes: `--q 10**4299 --n-max 24` takes 2.9-3.3 s
 
 
 @contextmanager
@@ -131,12 +133,10 @@ def gen(n, k, q, out):
 
 def best(n, q, as_json):
     """Best construction size over all k."""
-    if as_json:  # only --json needs the size at every k
-        record = best_size(n, q)
-        per_k = {k: str(size) for k, size in record.per_k.items()}
-        print(_json({**record._asdict(), "size": str(record.size), "per_k": per_k}))
+    best_k, size = best_k_and_size(n, q)
+    if as_json:
+        print(_json({"n": n, "q": q, "best_k": best_k, "size": str(size)}))
     else:
-        best_k, size = best_k_and_size(n, q)
         print(f"S({n},{q}) = {size}  (k = {'-' if best_k is None else best_k})")
 
 
@@ -170,6 +170,10 @@ def table(q, n_max, as_json, markdown, clique_upto):
         raise ValueError(f"--n-max {n_max} is below the first tabulated length {lengths.start}")
     if n_max > TABLE_N_CAP:
         raise CapacityError(f"--n-max has {n_max.bit_length()} bits, exceeds cap {TABLE_N_CAP}")
+    check_q(q)
+    if (bits := n_max * n_max * math.log2(q) / 2) > TABLE_BITS_CAP:
+        raise CapacityError(f"sizes to --n-max {n_max} at q of {q.bit_length()} bits need {bits:.0f} bits, "
+                            f"exceeds cap {TABLE_BITS_CAP}")
     if clique_upto:
         _desk_scale(min(clique_upto, n_max), q, "run `xbifix clique --long` for longer lengths")
     rows = []

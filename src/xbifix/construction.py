@@ -15,7 +15,8 @@ from .fibonacci import fib
 from .words import CapacityError, Code, check_alphabet, check_power_cap, check_q
 
 ENUM_CAP = 2**20  # interior windows generate_direct enumerates at most
-BEST_N_CAP = 20_000  # longest n best_k_and_size counts: `best --n 20000` takes 0.15 s, 7 s with --json
+GEN_DIGITS_CAP = 2**22  # most digits, M*n, generate_direct builds: `gen` of one word at the cap, the slowest, takes 8-11 s
+BEST_N_CAP = 100_000  # longest n best_k_and_size counts: `best --n 100000` takes 0.55-0.65 s, 1.8-2.0 s at q = 1430
 
 
 def validate_params(n: int, k: int, q: int) -> None:
@@ -31,6 +32,8 @@ def generate_direct(n: int, k: int, q: int) -> Code:
     validate_params(n, k, q)
     check_alphabet(q)
     check_power_cap(q, n - k - 2, ENUM_CAP, "q**(n-k-2)")
+    if (size := size_formula(n, k, q)) * n > GEN_DIGITS_CAP:
+        raise CapacityError(f"M*n = {size}*{n} digits exceeds cap {GEN_DIGITS_CAP}")
     runs = [list(range(1, q))] + [[] for _ in range(k - 1)]  # runs[t]: words ending in t zeros
     for _ in range(n - k - 2):
         shifted = [[v * q for v in level] for level in runs]
@@ -47,8 +50,6 @@ def size_formula(n: int, k: int, q: int) -> int:
 class SizeRecord(NamedTuple):
     """Best construction size S(n, q) and the per-k breakdown."""
 
-    n: int
-    q: int
     best_k: int | None
     size: int
     per_k: dict[int, int]
@@ -80,4 +81,4 @@ def best_k_and_size(n: int, q: int) -> tuple[int | None, int]:
 def best_size(n: int, q: int) -> SizeRecord:
     """best_k_and_size's maximum with the size at every k."""
     best_k, size = best_k_and_size(n, q)  # first: it makes the refusals
-    return SizeRecord(n, q, best_k, size, {k: size_formula(n, k, q) for k in range(2, n - 1)})
+    return SizeRecord(best_k, size, {k: size_formula(n, k, q) for k in range(2, n - 1)})

@@ -1,5 +1,4 @@
 import contextlib
-import hashlib
 import importlib
 import io
 import itertools
@@ -16,7 +15,7 @@ import pytest
 
 from xbifix.cli import _parser, main
 from xbifix.clique import build_graph, max_clique
-from xbifix.construction import generate_direct, size_formula
+from xbifix.construction import BEST_N_CAP, best_k_and_size, generate_direct, size_formula
 from xbifix.fibonacci import fib
 from xbifix.words import format_code, parse_code, write_code
 
@@ -121,46 +120,47 @@ class TestBest:
         assert result.exit_code == 0
         assert "927" in result.output and "k = 3" in result.output
 
-    def test_json_round_trip(self, runner):
-        result = runner.invoke(main, ["best", "--n", "20", "--json"])
-        data = json.loads(result.output)
-        assert data == {
-            "n": 20,
-            "q": 2,
-            "best_k": data["best_k"],
-            "size": "10671",
-            "per_k": data["per_k"],
-        }
-        assert data["best_k"] == 4
-
     def test_json_text_at_30(self, runner):
-        # every size a decimal string, per_k keyed by k in ascending order
+        # the four keys in this order, the size a decimal string, no per-k table
         result = runner.invoke(main, ["best", "--n", "30", "--json"])
         assert result.exit_code == 0
-        assert result.stdout == (
-            '{"n": 30, "q": 2, "best_k": 4, "size": "7555935", "per_k": {"2": "317811", "3": "4700770", '
-            '"4": "7555935", "5": "5976577", "6": "3621088", "7": "1967200", "8": "1019960", "9": "518145", '
-            '"10": "260864", "11": "130816", "12": "65488", "13": "32760", "14": "16383", "15": "8192", '
-            '"16": "4096", "17": "2048", "18": "1024", "19": "512", "20": "256", "21": "128", "22": "64", '
-            '"23": "32", "24": "16", "25": "8", "26": "4", "27": "2", "28": "1"}}\n'
-        )
+        assert result.stdout == '{"n": 30, "q": 2, "best_k": 4, "size": "7555935"}\n'
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_json_and_text_match_the_maximum(self, runner, q):
+        # n = 3 is only tabulated for q = 2, with no best k
+        for n in range(3 if q == 2 else 4, 201):
+            best_k, size = best_k_and_size(n, q)
+            args = ["best", "--n", str(n), "--q", str(q)]
+            data = json.loads(runner.invoke(main, [*args, "--json"]).stdout)
+            assert data == {"n": n, "q": q, "best_k": best_k, "size": str(size)}, (n, q)
+            text = runner.invoke(main, args).stdout
+            assert text == f"S({n},{q}) = {size}  (k = {'-' if best_k is None else best_k})\n", (n, q)
 
     def test_text_counts_few_sizes(self, runner, monkeypatch):
-        # without --json no per-k table is built: 13 sizes at n = 20000
+        # no per-k table is built, with or without --json: 13 sizes at n = 20000
         from xbifix import construction
 
-        calls, size = [], construction.size_formula
-        monkeypatch.setattr(construction, "size_formula", lambda n, k, q: calls.append(k) or size(n, k, q))
-        result = runner.invoke(main, ["best", "--n", "20000"])
-        assert result.exit_code == 0 and result.stdout.endswith("  (k = 13)\n")
-        assert len(calls) <= 20
+        size = construction.size_formula
+        for json_flag in ([], ["--json"]):
+            calls = []
+            monkeypatch.setattr(construction, "size_formula", lambda n, k, q: calls.append(k) or size(n, k, q))
+            result = runner.invoke(main, ["best", "--n", "20000", *json_flag])
+            assert result.exit_code == 0
+            if json_flag:
+                assert json.loads(result.stdout)["best_k"] == 13
+            else:
+                assert result.stdout.endswith("  (k = 13)\n")
+            assert len(calls) <= 20, json_flag
 
-    def test_json_is_byte_identical_at_2000(self, runner):
-        # sha256 of the output before fib summed zero runs for short lengths
-        result = runner.invoke(main, ["best", "--n", "2000", "--json"])
-        assert result.exit_code == 0
-        digest = hashlib.sha256(result.stdout.encode()).hexdigest()
-        assert digest == "988ceb4841cfe94e829a6a88adc086238d5e8a1b456189e2976d3eea4042375e"
+    def test_length_cap_boundary_in_a_fresh_process(self):
+        # the cap is counted and printed in time; one more is refused at once
+        result = _invoke_fresh(["best", "--n", str(BEST_N_CAP), "--json"], timeout=10)
+        assert result.exit_code == 0, result.stderr
+        assert list(json.loads(result.stdout)) == ["n", "q", "best_k", "size"]
+        result = _invoke_fresh(["best", "--n", str(BEST_N_CAP + 1)])
+        assert (result.exit_code, result.stdout) == (3, "")
+        assert result.stderr == f"capacity: n has 17 bits, exceeds cap {BEST_N_CAP}\n"
 
 
 class TestFibAlpha:
@@ -280,6 +280,21 @@ class TestTable:
         result = runner.invoke(main, ["table", "--n-max", str(cli.TABLE_N_CAP + 1)])
         assert (result.exit_code, result.stdout) == (3, "")
         assert result.stderr == f"capacity: --n-max has 10 bits, exceeds cap {cli.TABLE_N_CAP}\n"
+
+    def test_bits_cap_boundary(self, runner, monkeypatch):
+        # q = 36 at the length cap is admitted; at q = 2**100, about 50 bits
+        # a length, n_max = 289 passes and 290 is refused before the first
+        # row.  The rows are stubbed, not counted
+        import xbifix.cli as cli
+        from xbifix.bounds import BoundsReport
+
+        monkeypatch.setattr(cli, "bounds_report", lambda n, q: BoundsReport(n, 2, n, None))
+        for q, n_max in ((36, cli.TABLE_N_CAP), (2**100, 289)):
+            result = runner.invoke(main, ["table", "--q", str(q), "--n-max", str(n_max)])
+            assert result.exit_code == 0, q
+        result = runner.invoke(main, ["table", "--q", str(2**100), "--n-max", "290"])
+        assert (result.exit_code, result.stdout) == (3, "")
+        assert result.stderr == f"capacity: sizes to --n-max 290 at q of 101 bits need 4205000 bits, exceeds cap {cli.TABLE_BITS_CAP}\n"
 
     def test_clique_upto_beyond_desk_scale(self, runner):
         result = runner.invoke(main, ["table", "--n-max", "15", "--clique-upto", "15"])
@@ -549,13 +564,23 @@ class TestSimVerify:
         )
 
 
-# Lengths whose answers are never computed: each is refused at once with
-# this stderr line.  Without the refusal each ran on with no output, so
-# these rows run in a fresh process under a timeout.
+# Answers too large to compute or print: each is refused at once with
+# this stderr line.  Without the refusal each ran on for seconds or
+# minutes, or ended in a MemoryError, so these rows run in a fresh
+# process under a timeout.
 _UNBOUNDED = {
     "fib --k 2 --q 2 --n " + str(10**30): "capacity: F(n) at q=2 for n of 100 bits exceeds cap 1048576 bits\n",
-    "best --n " + str(10**20): "capacity: n has 67 bits, exceeds cap 20000\n",
+    "best --n " + str(10**20): "capacity: n has 67 bits, exceeds cap 100000\n",
     "table --n-max " + str(10**6): "capacity: --n-max has 20 bits, exceeds cap 1000\n",
+    # 2**20 words of 10**6 digits, 2**20 of 10**5 (no file is opened) and one of 10**7
+    "gen --n 1000022 --k 1000000": "capacity: M*n = 1048576*1000022 digits exceeds cap 4194304\n",
+    "gen --n 100022 --k 100000 --out <witness>": "capacity: M*n = 1048576*100022 digits exceeds cap 4194304\n",
+    "gen --n 10000000 --k 9999998": "capacity: M*n = 1*10000000 digits exceeds cap 4194304\n",
+    # every row passes fib's bit cap, but the sizes to n = 1000 add up to 50M and 500M bits
+    f"table --q {2**100} --n-max 1000":
+        "capacity: sizes to --n-max 1000 at q of 101 bits need 50000000 bits, exceeds cap 4194304\n",
+    f"table --q {2**1000} --n-max 1000":
+        "capacity: sizes to --n-max 1000 at q of 1001 bits need 500000000 bits, exceeds cap 4194304\n",
 }
 
 
@@ -612,15 +637,16 @@ class TestErrors:
         ids=lambda a: " ".join(a) if isinstance(a, list) else f"exit-{a}",
     )
     def test_one_stderr_line_no_traceback(self, runner, tmp_path, args, code):
+        line = " ".join(args)
         if "<code>" in args:  # the (7,2,2) code file
             path = tmp_path / "c7.txt"
             write_code(generate_direct(7, 2, 2), path)
             args = [str(path) if a == "<code>" else a for a in args]
         witness = tmp_path / "w.txt"
         args = [str(witness) if a == "<witness>" else a for a in args]
-        if " ".join(args) in _UNBOUNDED:
+        if line in _UNBOUNDED:
             result = _invoke_fresh(args)
-            assert result.stderr == _UNBOUNDED[" ".join(args)]
+            assert result.stderr == _UNBOUNDED[line]
         else:
             result = runner.invoke(main, args)
             assert isinstance(result.exception, SystemExit)

@@ -68,6 +68,16 @@ class TestGenerateDirect:
         with pytest.raises(CapacityError, match=r"2\*\*19996 exceeds cap"):
             generate_direct(20000, 2, 2)
 
+    def test_digit_cap_boundary(self, monkeypatch):
+        # (24,4,2) has 147,312 words of 24 digits: admitted with the cap at
+        # its M*n, refused one digit below, before any window is enumerated
+        assert 24 * 147_312 <= construction.GEN_DIGITS_CAP
+        monkeypatch.setattr(construction, "GEN_DIGITS_CAP", 24 * 147_312)
+        assert len(generate_direct(24, 4, 2)) == 147_312
+        monkeypatch.setattr(construction, "GEN_DIGITS_CAP", 24 * 147_312 - 1)
+        with pytest.raises(CapacityError, match=r"^M\*n = 147312\*24 digits exceeds cap 3535487$"):
+            generate_direct(24, 4, 2)
+
 
 def oracle_file_text(n, k, q):
     """The code file of S_{k,q}(n) from the recursive generator and a
@@ -194,7 +204,7 @@ class TestBestKAndSize:
             (2, 1, ValueError, "n must be >= 3, got 2"),
             (3, 1, ValueError, "n=3 is only tabulated for the binary alphabet"),
             (3, 3, ValueError, "n=3 is only tabulated for the binary alphabet"),
-            (BEST_N_CAP + 1, 1, CapacityError, f"n has 15 bits, exceeds cap {BEST_N_CAP}"),
+            (BEST_N_CAP + 1, 1, CapacityError, f"n has 17 bits, exceeds cap {BEST_N_CAP}"),
             (10, 1, ValueError, "q must be >= 2"),
             (BEST_N_CAP, 2**64, CapacityError, "exceeds cap"),
         ],
@@ -206,8 +216,8 @@ class TestBestKAndSize:
                 maximize(n, q)
 
     def test_stops_after_a_few_sizes(self, monkeypatch):
-        # at the cap the best k is 13 and the bound falls to the best size
-        # at k = 15: 13 of the 19,997 sizes are counted, at most 20 allowed
+        # at the cap the best k is 16 and the bound falls to the best size
+        # at k = 18: 16 of the 99,997 sizes are counted, at most 20 allowed
         calls, size = [], construction.size_formula
 
         def counted(n, k, q):
@@ -217,4 +227,4 @@ class TestBestKAndSize:
         monkeypatch.setattr(construction, "size_formula", counted)
         best_k, _ = best_k_and_size(BEST_N_CAP, 2)
         assert calls == list(range(2, len(calls) + 2))
-        assert best_k == 13 and len(calls) <= 20
+        assert best_k == 16 and len(calls) <= 20
