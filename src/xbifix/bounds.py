@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .fibonacci import find_alpha
+from .fibonacci import DEFAULT_PRECISION_BITS, PrecisionError, _bracket, _pow
 from .construction import best_k_and_size, size_formula
 from .words import CapacityError, check_q
 
@@ -86,22 +86,30 @@ def asymptotic_probe(q: int, k_range, c: float | None = None) -> list[ProbeRow]:
     For each k the exact construction size at that k and length n(k) is
     computed and the ratio size * n / q**n reported; as k grows the ratio
     approaches (q-1)/(q*e) from below when c = q/(q-1), the maximizing
-    choice.
+    choice.  n(k) is certified in integers: c is its float's exact ratio,
+    and the ceilings of c * alpha**k with the power floored at the low end
+    of alpha's bracket and ceiled at its high end must agree, or
+    PrecisionError.  A low ceiling past PROBE_N_CAP is refused at once,
+    with its bit count, a lower bound on n(k)'s: at q = 2, k = 20000, where
+    alpha is 2 - 2**-20000 or so, the ends have 20001 and 20002 bits, and
+    n(k) = 2**20001 - 20000 has 20001.
     """
     check_q(q)
     if c is None:
         c = q / (q - 1)
     if not (math.isfinite(c) and c > 0):
         raise ValueError(f"c must be finite and positive, got {c}")
+    num, den = c.as_integer_ratio()
     lengths = []
     for k in k_range:  # refuse at the first n(k) past the cap, before counting any k
-        # the ceiling taken on the mpf itself: c * alpha**k can pass the float range
-        x = c * find_alpha(k, q).alpha ** k
-        n = int(x) + (int(x) < x)
+        lo, hi, p = _bracket(k, q, DEFAULT_PRECISION_BITS)
+        n, n_hi = (-(-num * _pow(x, k, p, up) // (den << p)) for x, up in ((lo, False), (hi, True)))
+        if n > PROBE_N_CAP:  # the low ceiling alone refuses
+            raise CapacityError(f"n(k={k}) has {n.bit_length()} bits, exceeds cap {PROBE_N_CAP}")
+        if n != n_hi:
+            raise PrecisionError(f"n(k={k}) at c={c} lies between {n} and {n_hi}")
         if n < k + 2:  # the construction needs k + 2 <= n
             raise ValueError(f"n(k={k}) = {n} at c={c} is below k+2 = {k + 2}")
-        if n > PROBE_N_CAP:
-            raise CapacityError(f"n(k={k}) has {n.bit_length()} bits, exceeds cap {PROBE_N_CAP}")
         lengths.append((k, n))
     rows = []
     for k, n in lengths:

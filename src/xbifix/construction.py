@@ -34,10 +34,10 @@ def generate_direct(n: int, k: int, q: int) -> Code:
     check_power_cap(q, n - k - 2, ENUM_CAP, "q**(n-k-2)")
     if (size := size_formula(n, k, q)) * n > GEN_DIGITS_CAP:
         raise CapacityError(f"M*n = {size}*{n} digits exceeds cap {GEN_DIGITS_CAP}")
-    runs = [list(range(1, q))] + [[] for _ in range(k - 1)]  # runs[t]: words ending in t zeros
+    runs = [list(range(1, q))]  # runs[t]: words ending in t zeros, t < k and t <= the symbols so far
     for _ in range(n - k - 2):
         shifted = [[v * q for v in level] for level in runs]
-        runs = [[v + s for s in range(1, q) for level in shifted for v in level]] + shifted[:-1]
+        runs = [[v + s for s in range(1, q) for level in shifted for v in level]] + shifted[: k - 1]
     return Code(tuple(sorted([v * q + s for s in range(1, q) for level in runs for v in level])), n, q)
 
 

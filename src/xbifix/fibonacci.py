@@ -11,12 +11,13 @@ generating function (1 - x**k) / (1 - q*x + (q-1)*x**(k+1)) gives F(n) =
 a(n) - a(n-k), where a(m) = sum((-1)**j * C(m-k*j, j) * (q-1)**j *
 q**(m-(k+1)*j) for 0 <= j <= m/(k+1)): n/(k+1) terms, which short
 lengths use.  Since f is the recurrence's characteristic polynomial,
-x**n mod f(x) gives F(n) from the first 2k values in O(k**2 log n)
-products, plus k at the last level, which long lengths use.  The
-auxiliary polynomial g(x) = (x-1)*f(x) = x**k * (x - q) + (q-1) is
-negative on (1, alpha) and positive on (alpha, infinity), so the sign of
-g, bounded in integers, certifies a bracket around alpha; its compact
-form is also the cheap target for Newton's method.
+x**n mod f(x) gives F(n) from the first 2k values by log2(n) squarings,
+which long lengths use: each takes 2k-1 squares of large integers once
+its coefficients are long, k*(k+1)/2 products before, and the last level
+k products.  The auxiliary polynomial g(x) = (x-1)*f(x) = x**k * (x - q)
++ (q-1) is negative on (1, alpha) and positive on (alpha, infinity), so
+the sign of g, bounded in integers, certifies a bracket around alpha;
+its compact form is also the cheap target for Newton's method.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ if TYPE_CHECKING:
 DEFAULT_PRECISION_BITS = 128
 FIB_BITS_CAP = 2**20  # most bits, n * log2(q), fib's answer may have: `fib --k 2 --q 2 --n 1048576` takes 1.1 s
 MAX_PRECISION_BITS = 2**18  # find_alpha(2, 2) takes about 0.5 s here
+SQUARE_BITS = 2000  # coefficient bits from which _square interpolates: its 2k-1 squares and the k*(k+1)/2 pair products break even at 1,750-2,000 bits for k = 7..40, 8,000 at k = 3
 _NEWTON_STEPS = 64  # _bracket takes about log2(bits) steps, 20 at 2**18 bits
 
 
@@ -51,17 +53,19 @@ def _check_kq(k: int, q: int, n: int = 0) -> None:
 
 def fib(k: int, q: int, n: int) -> int:
     """Exact F_{k,q}(n) in O(k) live integers, by one of two paths split
-    at n = max(16*k*(k+1), k**4 * log2(q) / 18), fitted to timings for
-    q = 2, 3, 5 and k = 2..40: the zero-run sum in O(n/k) terms below it,
-    doubling in O(k**2 log n) products, plus k at the last level, from
-    there on.  The second term follows doubling's products, which grow as
-    long as F(n).  CapacityError for an n whose F(n) <= q**n could pass
+    at n = max(8*k*(k+8), k**3 * log2(2*q) / 4), fitted to timings for
+    q = 2, 3, 5 and k = 2..40 and checked at q = 36 and 1000: the zero-run
+    sum in O(n/k) terms below it, doubling in log2(n) squarings of 2k-1
+    squares each from there on.  The first term holds while doubling's
+    coefficients are short and it takes pair products; the second, once
+    they are long, as the sum's terms grow with n*log2(q) and doubling's
+    squares by less.  CapacityError for an n whose F(n) <= q**n could pass
     FIB_BITS_CAP bits, n alone first, so no float sees a huge n."""
     _check_kq(k, q, n)
     if n > FIB_BITS_CAP or n * math.log2(q) > FIB_BITS_CAP:
         raise CapacityError(f"F(n) at q={q} for n of {n.bit_length()} bits exceeds cap {FIB_BITS_CAP} bits")
-    # the exact term first: past k = 10**77, k**4 overflows a float
-    if n < 16 * k * (k + 1) or n < k**4 * math.log2(q) / 18:
+    # the exact term first: past k = 10**102, k**3 overflows a float
+    if n < 8 * k * (k + 8) or n < k**3 * math.log2(2 * q) / 4:
         return _fib_by_zero_runs(k, q, n)
     return _fib_by_doubling(k, q, n)
 
@@ -85,27 +89,24 @@ def _fib_by_zero_runs(k: int, q: int, n: int) -> int:
 
 def _fib_by_doubling(k: int, q: int, n: int) -> int:
     """Fiduccia, SIAM J. Comput. 14 (1985): a = x**m mod f(x) for m = n//2
-    by square-and-multiply.  Each square takes about k*k/2 products of
-    symmetric pairs, top degree first; degree d >= k folds back through
-    x**k = (q-1)*(x**(k-1) + ... + 1), so each degree gains q-1 times the
-    running sum of those at most k above it.  The last level is never
-    squared (Bostan & Mori, SOSA 2021): the functional L(x**t) = F(t)
-    vanishes on multiples of f, so with e = n % 2, F(n) = L(a*a * x**e)
-    = sum(a_i * sum(a_j * F(i+j+e))), k products at the top size against
-    the square's k*(k+1)/2, on the small F(0..2k-1).  Every value stays a
-    nonnegative int."""
+    by square-and-multiply.  Each square (_square) is folded top degree
+    first: degree d >= k folds back through x**k = (q-1)*(x**(k-1) + ...
+    + 1), so each degree gains q-1 times the running sum of those at most
+    k above it.  The last level is never squared (Bostan & Mori, SOSA
+    2021): the functional L(x**t) = F(t) vanishes on multiples of f, so
+    with e = n % 2, F(n) = L(a*a * x**e) = sum(a_i * sum(a_j * F(i+j+e))),
+    k products at the top size against the square's 2k-1, on the small
+    F(0..2k-1).  Every coefficient of a stays a nonnegative int."""
     shift = max(n.bit_length() - k.bit_length(), 0) + 1  # n >> shift < k; the last level is L's
     a = [0] * k
     a[n >> shift] = 1
     for bit in reversed(range(1, shift)):
-        sq = [0] * (2 * k - 1)
+        sq = _square(a)
         folding = 0  # sum of sq[d+1 .. d+k] over the degrees >= k
         for d in reversed(range(2 * k - 1)):
             if d < k - 2:
                 folding -= sq.pop()  # sq[d+k+1] leaves the running sum
-            lo, mid = max(0, d - k + 1), (d + 1) // 2
-            pairs = 2 * sum(map(mul, a[lo:mid], a[d - lo : d - mid : -1]))
-            sq[d] = pairs + (0 if d % 2 else a[d // 2] ** 2) + (q - 1) * folding
+            sq[d] += (q - 1) * folding
             if d >= k:
                 folding += sq[d]
         a = sq[:k]
@@ -117,6 +118,57 @@ def _fib_by_doubling(k: int, q: int, n: int) -> int:
         small.append((q - 1) * sum(small[t - k :]))
     e = n & 1
     return sum(c * sum(map(mul, a, small[i + e : i + e + k])) for i, c in enumerate(a))
+
+
+def _square(a: list[int]) -> list[int]:
+    """The 2k-1 coefficients of a(x)**2 for the k in a, lowest first.  Up
+    to SQUARE_BITS bits, and at k = 2, where both take three, by k*(k+1)/2
+    products of symmetric pairs; past them from 2k-1 squares (Toom 1963;
+    Cook 1966).  With a(x) = E(x**2) + x*O(x**2) and the square S(x**2) +
+    x*T(x**2), a(+-t)**2 = S(u) +- t*T(u) at u = t*t, so (E(u) +- t*O(u))**2
+    for t = 0..k-1 give S at k nodes and T at k-1, each interpolated in
+    place (_interpolate), as a square holds 2k-1 integers of twice a's
+    size and a copy would hold twice that."""
+    k = len(a)
+    if k < 3 or max(a).bit_length() <= SQUARE_BITS:
+        sq = []
+        for d in range(2 * k - 1):
+            lo, mid = max(0, d - k + 1), (d + 1) // 2
+            sq.append(2 * sum(map(mul, a[lo:mid], a[d - lo : d - mid : -1])) + (0 if d % 2 else a[d // 2] ** 2))
+        return sq
+    evens, odds, even_sq, odd_sq = a[::2], a[1::2], [], []
+    for t in range(k):
+        e = o = 0
+        for c in reversed(evens):
+            e = e * (t * t) + c
+        for c in reversed(odds):
+            o = o * (t * t) + c
+        o *= t
+        plus, minus = (e + o) ** 2, (e - o) ** 2
+        even_sq.append((plus + minus) >> 1)
+        if t:
+            odd_sq.append((plus - minus) // (2 * t))
+    sq = [0] * (2 * k - 1)
+    sq[::2], sq[1::2] = _interpolate(even_sq, 0), _interpolate(odd_sq, 1)
+    return sq
+
+
+def _interpolate(v: list[int], first: int) -> list[int]:
+    """In place, the values of an integer polynomial at u = t*t for t =
+    first, first+1, ... become its coefficients, lowest first: Newton's
+    divided differences, then Newton form to monomial form.  Every
+    division is exact, since the divided differences of an integer
+    polynomial at integer nodes are integers."""
+    m = len(v)
+    for j in range(1, m):
+        for i in reversed(range(j, m)):
+            t = first + i  # nodes t*t and (t-j)**2 differ by j*(2t-j)
+            v[i] = (v[i] - v[i - 1]) // (j * (2 * t - j))
+    for j in reversed(range(m - 1)):
+        u = (first + j) ** 2
+        for i in range(j, m - 1):
+            v[i] -= u * v[i + 1]
+    return v
 
 
 def g_poly(k: int, q: int, x):

@@ -245,8 +245,9 @@ def find_expansion(code: Code) -> Optional[int]:
 
 def digits(values: Sequence[int], n: int, q: int) -> list[str]:
     """The length-n base-36 digit strings of the values, h digits at a time
-    through a table of all h-digit strings: at most 4,096, and q per value."""
-    h = max(h for h in range(1, 13) if q**h <= min(1 << 12, q * len(values)))
+    through a table of all h-digit strings: at most 4,096, and q per digit
+    written, so that a code of few long words takes long chunks too."""
+    h = max(h for h in range(1, 13) if q**h <= min(1 << 12, q * n * len(values)))
     base, table = q**h, ["".join(t) for t in product(DIGITS[:q], repeat=h)]
     chunks, columns, rest = -(-n // h), [], values
     for _ in range(chunks):  # least significant chunk first

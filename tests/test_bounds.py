@@ -13,6 +13,8 @@ from xbifix.bounds import (
     variance_formula,
 )
 from xbifix.construction import best_size
+from xbifix.fibonacci import PrecisionError
+from xbifix.words import CapacityError
 
 from oracles import naive_bilotta_size
 
@@ -128,10 +130,13 @@ class TestProbe:
 
     def test_huge_length_refused_without_str(self):
         # n(20000) has over 4,300 decimal digits, the interpreter's default
-        # limit for int-to-str; the refusal names its bit length instead
+        # limit for int-to-str; the refusal names its bit length instead.
+        # alpha is about 2 - 2**-20000, so 2 * alpha**20000 is about
+        # 2**20001 - 20000: 20001 bits, where a 53-bit power, which rounds
+        # alpha to 2, gave 20002
         from xbifix.words import CapacityError
 
-        with pytest.raises(CapacityError, match="n\\(k=20000\\) has 20002 bits"):
+        with pytest.raises(CapacityError, match="n\\(k=20000\\) has 20001 bits"):
             asymptotic_probe(2, [20000])
 
     def test_capped_range_refused_before_counting(self, monkeypatch):
@@ -160,6 +165,49 @@ class TestProbe:
 
         with pytest.raises(CapacityError, match="^n\\(k=17\\) has 18 bits, exceeds cap 200000$"):
             asymptotic_probe(2, ks())
+
+
+def _mpf_length(k, q):
+    # n(k) as ceil(c * alpha**k) in a 53-bit mpf power, the way the
+    # lengths were taken before they were certified in integers
+    from xbifix.fibonacci import find_alpha
+
+    x = q / (q - 1) * find_alpha(k, q).alpha ** k
+    return int(x) + (int(x) < x)
+
+
+class TestProbeLengths:
+    @pytest.mark.parametrize("q", range(2, 40))
+    def test_certified_lengths_match_the_mpf_power(self, q, monkeypatch):
+        # every k at the default c up to the last length under the cap;
+        # the sizes are stubbed, as the rows follow from (k, n)
+        from xbifix import bounds
+
+        monkeypatch.setattr(bounds, "size_formula", lambda n, k, q: 1)
+        ks = range(2, 2)
+        while _mpf_length(ks.stop, q) <= bounds.PROBE_N_CAP:
+            ks = range(2, ks.stop + 1)
+        want = [(k, _mpf_length(k, q)) for k in ks]
+        assert [(r.k, r.n) for r in asymptotic_probe(q, ks)] == want
+        with pytest.raises(CapacityError, match=f"^n\\(k={ks.stop}\\) has "):
+            asymptotic_probe(q, [ks.stop])
+
+    def test_ceilings_that_differ_are_refused(self, monkeypatch):
+        # a bracket as wide as [1.5, 2] puts c * alpha**k anywhere in
+        # [3, 4] at k = 1: no length is certified
+        from xbifix import bounds
+
+        monkeypatch.setattr(bounds, "_bracket", lambda k, q, bits: (3, 4, 1))
+        with pytest.raises(PrecisionError, match="n\\(k=1\\) at c=2.0 lies between 3 and 4"):
+            asymptotic_probe(2, [1], c=2.0)
+
+    def test_exact_integer_is_its_own_ceiling(self, monkeypatch):
+        # c * alpha**k = 3 exactly at both ends: n = 3, not 4
+        from xbifix import bounds
+
+        monkeypatch.setattr(bounds, "_bracket", lambda k, q, bits: (3, 3, 1))
+        monkeypatch.setattr(bounds, "size_formula", lambda n, k, q: 1)
+        assert [(r.k, r.n) for r in asymptotic_probe(2, [1], c=2.0)] == [(1, 3)]
 
 
 class TestReport:

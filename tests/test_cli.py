@@ -113,6 +113,16 @@ class TestGen:
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("usage: ")
 
+    def test_one_long_word_in_a_fresh_process(self):
+        # the one word 0...011 of 2**21 digits: 12 digits go out per table
+        # lookup and only the run lists a word has reached are built, so
+        # this takes well under a second, where one digit per lookup and
+        # 2**21 run lists took over 4 s
+        n = 2**21
+        result = _invoke_fresh(["gen", "--n", str(n), "--k", str(n - 2)], timeout=3)
+        assert result.exit_code == 0, result.stderr
+        assert result.stdout == f"# xbifix code n={n} q=2\n" + "0" * (n - 2) + "11\n"
+
 
 class TestBest:
     def test_text(self, runner):
@@ -772,6 +782,12 @@ class TestImportCost:
 
     def test_closed_form_loads_no_library(self):
         assert _fresh_run(script=_CLOSED_FORM) == (["True"], [])
+
+    def test_probe_loads_no_library(self, runner):
+        # n(k) is certified on the root bracket's ints, with no mpf power
+        output, loaded = _fresh_run("probe", "--k-max", "6")
+        assert output[-1] == "exit 0" and loaded == []
+        assert output[:-1] == runner.invoke(main, ["probe", "--k-max", "6"]).stdout.splitlines()
 
     def test_alpha_loads_mpmath_when_it_runs(self, runner):
         output, loaded = _fresh_run("alpha", "--k", "3", "--q", "2")

@@ -114,7 +114,7 @@ class TestRecurrence:
         taken = []
         monkeypatch.setattr(fibonacci, "_fib_by_zero_runs", _spy(taken, fibonacci._fib_by_zero_runs))
         for q in range(2, 6):
-            end = math.ceil(max(16 * k * (k + 1), k**4 * math.log2(q) / 18))  # the first n past the sum
+            end = math.ceil(max(8 * k * (k + 8), k**3 * math.log2(2 * q) / 4))  # the first n past the sum
             want = naive_fib_list(k, q, max(501, end + 3))
             for n in sorted({*range(501), *range(end - 3, end + 3)}):
                 assert fib(k, q, n) == want[n], (k, q, n)
@@ -138,14 +138,21 @@ class TestRecurrence:
             (10, 3, 88_553),
             (14, 2, 32_738),
             (14, 2, 32_739),
+            (24, 3, 8_933),
+            (24, 3, 8_934),
             (24, 3, 29_214),
             (24, 3, 29_215),
+            (40, 2, 31_999),
+            (40, 2, 32_000),
+            (40, 3, 41_359),
+            (40, 3, 41_360),
         ],
     )
     def test_long_lengths_match_definition_mod_prime(self, k, q, n):
-        # the probe's lengths and their odd neighbours, and the last
-        # zero-run sum and first doubling at k = 24, q = 3, against the
-        # definition stepped on residues
+        # the probe's lengths and their odd neighbours, the last zero-run
+        # sum and first doubling at k = 24, q = 3 and at k = 40, q = 2, 3,
+        # and two doublings at k = 24 that interpolate their squares, against
+        # the definition stepped on residues
         p = 2**61 - 1
         assert fib(k, q, n) % p == naive_fib_mod(k, q, n, p)
 
@@ -172,17 +179,29 @@ class TestRecurrence:
             (2, 2, 200_000, "_fib_by_doubling"),
             (10, 3, 88_552, "_fib_by_doubling"),
             (14, 2, 32_738, "_fib_by_doubling"),
-            # each side of max(16*k*(k+1), k**4 * log2(q) / 18): its first
+            # each side of max(8*k*(k+8), k**3 * log2(2*q) / 4): its first
             # term at q = 2, 3, its second at q = 2, 3, 5
-            (8, 2, 1151, "_fib_by_zero_runs"),
+            (2, 2, 159, "_fib_by_zero_runs"),
+            (2, 2, 160, "_fib_by_doubling"),
+            (8, 2, 1023, "_fib_by_zero_runs"),
+            (8, 2, 1024, "_fib_by_doubling"),
+            (12, 3, 1919, "_fib_by_zero_runs"),
+            (12, 3, 1920, "_fib_by_doubling"),
+            (40, 2, 31_999, "_fib_by_zero_runs"),
+            (40, 2, 32_000, "_fib_by_doubling"),
+            (24, 3, 8_933, "_fib_by_zero_runs"),
+            (24, 3, 8_934, "_fib_by_doubling"),
+            (20, 5, 6_643, "_fib_by_zero_runs"),
+            (20, 5, 6_644, "_fib_by_doubling"),
+            # at the old boundary, max(16*k*(k+1), k**4 * log2(q) / 18), the
+            # sum measured 13x and 12x slower than doubling; its first
+            # doubled lengths still double
+            (40, 3, 225_416, "_fib_by_doubling"),
+            (40, 2, 142_222, "_fib_by_doubling"),
             (8, 2, 1152, "_fib_by_doubling"),
-            (12, 3, 2495, "_fib_by_zero_runs"),
             (12, 3, 2496, "_fib_by_doubling"),
-            (40, 2, 142_222, "_fib_by_zero_runs"),
             (40, 2, 142_223, "_fib_by_doubling"),
-            (24, 3, 29_214, "_fib_by_zero_runs"),
             (24, 3, 29_215, "_fib_by_doubling"),
-            (20, 5, 20_639, "_fib_by_zero_runs"),
             (20, 5, 20_640, "_fib_by_doubling"),
             # doubling measured 1.4x and 2.5x faster than the sum here
             (16, 5, 15_000, "_fib_by_doubling"),
@@ -203,6 +222,24 @@ class TestRecurrence:
             monkeypatch.setattr(fibonacci, name, chosen(name))
         with pytest.raises(Chosen, match=path):
             fib(k, q, n)
+
+    @pytest.mark.parametrize("k,q", [(3, 2), (8, 5), (17, 3), (40, 2)])
+    def test_doubling_matches_definition_on_both_sides_of_the_crossover(self, k, q, monkeypatch):
+        # short lengths square by pair products alone; the long ones take
+        # their last squares from interpolation once the coefficients pass
+        # SQUARE_BITS
+        calls, interpolate = [], fibonacci._interpolate
+
+        def counted(values, first):
+            calls.append(first)
+            return interpolate(values, first)
+
+        monkeypatch.setattr(fibonacci, "_interpolate", counted)
+        want = naive_fib_list(k, q, 12_002)
+        for n in (1000, 1001, 12_000, 12_001):
+            calls.clear()
+            assert fibonacci._fib_by_doubling(k, q, n) == want[n], (k, q, n)
+            assert bool(calls) == (n > 1001), (k, q, n)
 
     def test_memory_is_a_window(self):
         # this length doubles, over k = 10 coefficients and k-1 folded ones,
@@ -242,6 +279,54 @@ class TestRecurrence:
         finally:
             tracemalloc.stop()
         assert peak < 32 * sys.getsizeof(value)
+
+
+def _schoolbook_square(a):
+    sq = [0] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(a):
+            sq[i + j] += x * y
+    return sq
+
+
+class TestSquare:
+    @pytest.mark.parametrize("k", range(1, 41))
+    def test_matches_schoolbook(self, k, monkeypatch):
+        # both branches, each at its edge of SQUARE_BITS and far from it,
+        # with zero coefficients at the ends, in the middle and all but
+        # one; interpolation from k = 3, where 2k-1 squares are fewer
+        # than the k*(k+1)/2 pair products
+        calls, interpolate = [], fibonacci._interpolate
+
+        def counted(values, first):
+            calls.append(first)
+            return interpolate(values, first)
+
+        monkeypatch.setattr(fibonacci, "_interpolate", counted)
+        rng = random.Random(k)
+        edge = fibonacci.SQUARE_BITS
+        for bits in (1, 50, edge, edge + 1, 3000):
+            top = [rng.getrandbits(bits - 1) | 1 << (bits - 1) for _ in range(k)]
+            sparse = [0] * k
+            sparse[rng.randrange(k)] = top[0]
+            cases = [top, sparse, [0] + top[1:], top[:-1] + [0], [0 if i % 3 == 1 else c for i, c in enumerate(top)]]
+            for a in cases:
+                if not any(a):
+                    continue
+                calls.clear()
+                assert fibonacci._square(list(a)) == _schoolbook_square(a), (k, bits)
+                long = k >= 3 and max(a).bit_length() > edge
+                assert calls == ([0, 1] if long else []), (k, bits)
+
+    @pytest.mark.parametrize("first", [0, 1, 5])
+    def test_interpolate_recovers_coefficients(self, first):
+        # values at u = t*t, t = first.., of a polynomial with negative,
+        # zero and large coefficients come back as its coefficients
+        rng = random.Random(first)
+        for m in range(1, 25):
+            coeffs = [rng.choice([0, -1, 1]) * rng.getrandbits(rng.choice([1, 64, 3000])) for _ in range(m)]
+            values = [sum(c * (t * t) ** i for i, c in enumerate(coeffs)) for t in range(first, first + m)]
+            assert fibonacci._interpolate(values, first) == coeffs, (first, m)
 
 
 class TestPolynomials:

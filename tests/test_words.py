@@ -319,14 +319,15 @@ class TestFileFormat:
 
     @pytest.mark.parametrize("q", [2, 3, 7, 12, 16, 35, 36])
     def test_digits_match_oracle(self, q):
-        # two values build a table of 2q strings, 2,100 the full one of up
-        # to 4,096; n below, at and past a chunk's digits, and the edge values
+        # one and two values build tables of up to q strings per digit
+        # written, 2,100 the full one of up to 4,096; n below, at and past
+        # a chunk's digits, and the edge values
         import random
 
         rng = random.Random(q)
-        for count in (2, 2100):
+        for count in (1, 2, 2100):
             for n in (1, 2, 3, 11, 12, 13, 25, 70):
-                values = [0, q**n - 1, *(rng.randrange(q**n) for _ in range(count - 2))]
+                values = [q**n - 1, 0, *(rng.randrange(q**n) for _ in range(count - 2))][:count]
                 assert digits(values, n, q) == [digits_oracle(v, n, q) for v in values], (count, n)
 
     def test_sorted_output(self):
